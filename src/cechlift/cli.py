@@ -78,7 +78,13 @@ from .obstruct import (
     read_cocycle,
     validate_cocycle,
 )
-from .whitney import additivity_check, hyperbolic_obstruction, hyperbolic_structure_count, whitney_obstruction
+from .whitney import (
+    additivity_check,
+    hyperbolic_obstruction,
+    hyperbolic_structure_count,
+    whitney_obstruction,
+    z2_h1_order_from_ranks,
+)
 
 __all__ = ["RunReport", "main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_PARSE", "EXIT_SEMANTIC"]
 
@@ -532,7 +538,7 @@ def cmd_count(args) -> RunReport:
     s, sdesc = _load_cocycle(args.cocycle, x, ext, args.seed)
     n = hyperbolic_structure_count(s, ext)
     h1 = cohomology(x, 1, ext.kernel)
-    checks = {"count_equals_h1_order": n == h1.order}
+    checks = {"count_equals_h1_order": n == h1.order == z2_h1_order_from_ranks(x)}
     payload = {
         "count": n,
         "h1_invariant_factors": list(h1.invariant_factors),

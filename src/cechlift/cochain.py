@@ -126,16 +126,19 @@ def zero_cochain(complex_: SimplicialComplex, degree: int, group: AbelianGroup) 
 
 @lru_cache(maxsize=None)
 def coboundary_matrix(complex_: SimplicialComplex, p: int) -> np.ndarray:
-    """Signed incidence matrix of delta: C^p -> C^{p+1}, shape (#(p+1)-simplices, #p-simplices)."""
+    """Signed incidence matrix of delta: C^p -> C^{p+1}, shape (#(p+1)-simplices, #p-simplices).
+
+    The matrix is cached and shared by every caller, so it is read-only.
+    """
     rows = simplices_of_dim(complex_, p + 1)
     cols = simplices_of_dim(complex_, p)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if not cols:
-        return mat
-    for i, s in enumerate(rows):
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            mat[i, complex_.index_of(face)] = (-1) ** j
+    if cols:
+        for i, s in enumerate(rows):
+            for j in range(len(s)):
+                face = s[:j] + s[j + 1 :]
+                mat[i, complex_.index_of(face)] = (-1) ** j
+    mat.setflags(write=False)
     return mat
 
 

@@ -22,11 +22,17 @@ __all__ = [
     "identity_hom",
     "parse_group",
     "Z2",
+    "MAX_CYCLIC_ORDER",
 ]
 
 Element = tuple[int, ...]
 
 _LITERAL = re.compile(r"^Z(\d+)$")
+
+# Largest cyclic factor accepted.  Below 2^31 the int64 products in GF(p)
+# elimination cannot overflow, and trial division of an order takes at most
+# about 46k steps.
+MAX_CYCLIC_ORDER = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,10 @@ class AbelianGroup:
     def __post_init__(self):
         if any(n < 2 for n in self.factors):
             raise ValueError(f"cyclic factors must be at least 2, got {self.factors}")
+        if any(n > MAX_CYCLIC_ORDER for n in self.factors):
+            raise ValueError(
+                f"cyclic factors must be at most 2^31 - 1 = {MAX_CYCLIC_ORDER}, got {self.factors}"
+            )
 
     @property
     def order(self) -> int:

@@ -1,9 +1,13 @@
 """Exact linear algebra helpers: GF(p) elimination and integer Smith normal form.
 
 Matrices over GF(p) are numpy int64 arrays reduced mod p after every row
-operation.  The Smith normal form works on plain Python ints so entries can
-never overflow, which is cheap at the matrix sizes produced by small
-simplicial complexes.
+operation.  The Smith normal form works on plain Python ints, so entries
+can never overflow.  It is a sparse replay of the dense elimination kept in
+the tests as the reference: S rows and U rows are dicts of nonzeros, V is
+kept by columns, rows and columns move through position tables, and a
+column-to-rows index lets each step touch only nonzero entries.  The
+operations and their order are those of the dense elimination, so S, U
+and V are identical to it, entry for entry.
 """
 
 from __future__ import annotations
@@ -154,89 +158,156 @@ class Snf:
         return [d for d in self.diagonal() if d > 1]
 
 
+def _axpy(dst: dict, src: dict, k: int) -> None:
+    """dst += k * src for sparse vectors stored as {index: nonzero entry}; k != 0."""
+    for key, x in src.items():
+        y = dst.get(key, 0) + k * x
+        if y:
+            dst[key] = y
+        else:
+            del dst[key]
+
+
 def smith_normal_form(a) -> Snf:
+    """Smith normal form of an integer matrix, with U and V.
+
+    Pivot on the entry of least absolute value (first in row-major order),
+    clear its row and column by Euclidean steps, swapping in any remainder,
+    and fold in the first row the pivot does not divide until it divides
+    the whole remaining block; finally make the pivot positive.
+
+    S rows are dicts keyed by original column index, U rows and V columns
+    move with their S row or column, and swaps only update the position
+    tables row_at/rowpos and col_at/colpos.
+    """
     m = _as_matrix(a)
     rows, cols = m.shape
-    s = [[int(x) for x in row] for row in m]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    srow: list[dict] = [{} for _ in range(rows)]
+    incol: list[set] = [set() for _ in range(cols)]
+    nz_r, nz_c = np.nonzero(m)
+    for r, c, x in zip(nz_r.tolist(), nz_c.tolist(), m[nz_r, nz_c].tolist()):
+        srow[r][c] = x
+        incol[c].add(r)
+    urow = [{r: 1} for r in range(rows)]
+    vcol = [{c: 1} for c in range(cols)]
+    row_at, rowpos = list(range(rows)), list(range(rows))
+    col_at, colpos = list(range(cols)), list(range(cols))
 
     def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        ri, rj = row_at[i], row_at[j]
+        row_at[i], row_at[j] = rj, ri
+        rowpos[ri], rowpos[rj] = j, i
 
     def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        ci, cj = col_at[i], col_at[j]
+        col_at[i], col_at[j] = cj, ci
+        colpos[ci], colpos[cj] = j, i
 
     def add_row(src, dst, k):
-        # row_dst += k * row_src
-        s[dst] = [x + k * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        # row dst += k * row src, by row id
+        d = srow[dst]
+        for c, x in srow[src].items():
+            y = d.get(c, 0) + k * x
+            if y:
+                if c not in d:
+                    incol[c].add(dst)
+                d[c] = y
+            else:
+                del d[c]
+                incol[c].discard(dst)
+        _axpy(urow[dst], urow[src], k)
 
     def add_col(src, dst, k):
-        for row in s:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
+        # column dst += k * column src, by column id
+        hits = incol[dst]
+        for r in incol[src]:
+            row = srow[r]
+            y = row.get(dst, 0) + k * row[src]
+            if y:
+                row[dst] = y
+                hits.add(r)
+            else:
+                del row[dst]
+                hits.discard(r)
+        _axpy(vcol[dst], vcol[src], k)
 
-    def pivot_at(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(s[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
+    # Invariant: rows at positions >= t have no entries in columns at positions < t.
     t = 0
-    while True:
-        best = pivot_at(t)
-        if best is None:
+    while t < min(rows, cols):
+        best = pi = pj = 0
+        for pos in range(t, rows):
+            for c, x in srow[row_at[pos]].items():
+                ax = x if x > 0 else -x
+                if not best or ax < best or (ax == best and pos == pi and colpos[c] < pj):
+                    best, pi, pj = ax, pos, colpos[c]
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = best
         swap_rows(t, pi)
         swap_cols(t, pj)
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    add_row(t, i, -q)
-                    if s[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    add_col(t, j, -q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # pivot must divide every remaining entry; fold a bad row in and retry
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % s[t][t]:
-                    offender = i
-                    break
+            # Clearing position i (a row here, a column below) moves or
+            # changes only positions t and i, so the positions still to
+            # visit are the ones listed up front.
+            c = col_at[t]
+            for i in sorted(rowpos[r] for r in incol[c] if rowpos[r] > t):
+                r = row_at[i]
+                q = srow[r][c] // srow[row_at[t]][c]
+                if q:
+                    add_row(row_at[t], r, -q)
+                if c in srow[r]:
+                    swap_rows(t, i)
+                    dirty = True
+            prow = srow[row_at[t]]
+            for j in sorted(colpos[c] for c in prow if colpos[c] > t):
+                c = col_at[j]
+                q = prow[c] // prow[col_at[t]]
+                if q:
+                    add_col(col_at[t], c, -q)
+                if c in prow:
+                    swap_cols(t, j)
+                    dirty = True
+        pivot = srow[row_at[t]][col_at[t]]
+        if pivot not in (1, -1):
+            # pivot must divide every remaining entry; fold a bad row in and retry
+            offender = next(
+                (row_at[i] for i in range(t + 1, rows) if any(x % pivot for x in srow[row_at[i]].values())),
+                None,
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+                add_row(offender, row_at[t], 1)
+                continue
+        if pivot < 0:
+            r = row_at[t]
+            srow[r] = {c: -x for c, x in srow[r].items()}
+            urow[r] = {k: -x for k, x in urow[r].items()}
         t += 1
-        if t == min(rows, cols):
-            break
 
-    freeze = lambda mat: tuple(tuple(row) for row in mat)
-    return Snf(s=freeze(s), u=freeze(u), v=freeze(v), rows=rows, cols=cols)
+    def emit(vectors, order, n, index):
+        # Dense rows, one at a time; each sparse vector is dropped once
+        # written, so the sparse and dense forms are never both held whole.
+        out = []
+        for k in order:
+            line = [0] * n
+            for key, x in vectors[k].items():
+                line[index[key]] = x
+            vectors[k] = None
+            out.append(tuple(line))
+        return tuple(out)
+
+    ident = range(max(rows, cols))
+    u = emit(urow, row_at, rows, ident)
+    s = emit(srow, row_at, cols, colpos)
+    vrow: list[dict] = [{} for _ in range(cols)]
+    for j, c in enumerate(col_at):
+        for i, x in vcol[c].items():
+            vrow[i][j] = x
+        vcol[c] = None
+    v = emit(vrow, range(cols), cols, ident)
+    return Snf(s=s, u=u, v=v, rows=rows, cols=cols)
 
 
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -217,6 +218,26 @@ def test_parse_failures_exit_two(tmp_path, capsys):
         assert rc == EXIT_PARSE
         assert "error:" in err
         assert out == ""
+
+
+def test_oversized_coefficients_exit_two_quickly(capsys):
+    for literal in ("Z4294967311", "Z2305843009213693951"):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "cohomology", "--builtin", "rp2_6", "-p", "1", "-k", literal)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == EXIT_PARSE
+        assert "2^31" in err
+        assert out == ""
+
+
+def test_count_check_uses_the_rank_figure(capsys, monkeypatch):
+    import cechlift.cli
+
+    monkeypatch.setattr(cechlift.cli, "z2_h1_order_from_ranks", lambda x: 8)
+    rc, payload, _ = run_machine(capsys, "count", "--builtin", "torus7", "--cocycle", "identity",
+                                 "--extension", "z4_over_z2")
+    assert rc == EXIT_CHECK_FAILED
+    assert payload["checks"] == {"count_equals_h1_order": False}
 
 
 def test_argparse_rejections_exit_two(capsys):

@@ -95,6 +95,22 @@ def test_coboundary_squares_to_zero(name):
         assert coboundary(coboundary(f)).is_zero()
 
 
+@pytest.mark.parametrize("name", BUILTIN_COMPLEXES)
+def test_coboundary_matrix_is_read_only(name):
+    x = builtin_complex(name)
+    rng = random.Random(5)
+    f = coboundary(_random_cochain(rng, x, 0, Z2))
+    witness = is_coboundary(f)
+    for p in range(3):
+        mat = coboundary_matrix(x, p)
+        assert not mat.flags.writeable
+        if mat.size:
+            with pytest.raises(ValueError):
+                mat[0, 0] = 5
+    assert is_coboundary(f) == witness
+    assert coboundary(witness) == f
+
+
 def test_degree_zero_cocycles_are_constants():
     x = builtin_complex("circle")
     constant = Cochain(x, 0, Z2, ((1,), (1,), (1,)))

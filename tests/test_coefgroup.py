@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cechlift.coefgroup import (
+    MAX_CYCLIC_ORDER,
     AbelianGroup,
     AbelianHom,
     Z2,
@@ -69,6 +70,16 @@ def test_parse_group():
     for bad in ("", "Z", "Z0", "X2", "z2", "Z2x", "Z2+Z4"):
         with pytest.raises(ValueError):
             parse_group(bad)
+
+
+def test_cyclic_factors_are_capped():
+    assert MAX_CYCLIC_ORDER == 2**31 - 1
+    assert AbelianGroup((2, MAX_CYCLIC_ORDER)).order == 2 * MAX_CYCLIC_ORDER
+    for n in (2**31, 4294967311, 2305843009213693951):
+        with pytest.raises(ValueError, match=r"2\^31"):
+            AbelianGroup((2, n))
+        with pytest.raises(ValueError, match=r"2\^31"):
+            parse_group(f"Z{n}")
 
 
 def test_format_round_trip():

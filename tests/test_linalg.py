@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cechlift.cochain import coboundary_matrix
 from cechlift.linalg import (
     GfpSpan,
     invariant_factors,
@@ -18,6 +19,8 @@ from cechlift.linalg import (
     solve_mod_p,
 )
 from oracles import bareiss_det, exhaustive_solvable_mod, gf2_rank, int_matmul, naive_rank_mod_p
+from snf_reference import smith_normal_form_reference
+from subdivision import LABELS, complex_by_label
 
 
 def _random_matrix(rng, rows, cols, lo, hi):
@@ -147,6 +150,41 @@ def test_smith_normal_form_known_case():
     snf = smith_normal_form([[0, 0], [0, 0]])
     assert snf.diagonal() == [0, 0]
     assert snf.torsion() == []
+
+
+def _assert_same_as_reference(a):
+    got = smith_normal_form(a)
+    want = smith_normal_form_reference(a)
+    assert got.rows == want["rows"] and got.cols == want["cols"]
+    assert got.s == want["s"]
+    assert got.u == want["u"]
+    assert got.v == want["v"]
+
+
+def test_smith_normal_form_matches_dense_reference_on_random_matrices():
+    rng = random.Random(13)
+    for shape in ((0, 0), (0, 4), (4, 0)):
+        _assert_same_as_reference(np.zeros(shape, dtype=np.int64))
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        a = _random_matrix(rng, rows, cols, -5, 6)
+        if rng.random() < 0.5:
+            a[rng.randrange(rows), :] = 0
+            a[:, rng.randrange(cols)] = 0
+        _assert_same_as_reference(a)
+
+
+def test_smith_normal_form_matches_reference_when_pivot_does_not_divide():
+    # each first pivot leaves an entry it does not divide, so a row is folded in
+    for a in ([[2, 0], [0, 3]], [[2, 4], [6, 3]], [[0, 4, 0], [6, 0, 0], [0, 0, 10]]):
+        _assert_same_as_reference(a)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_smith_normal_form_matches_reference_on_coboundaries(label):
+    x = complex_by_label(label)
+    for p in (0, 1):
+        _assert_same_as_reference(coboundary_matrix(x, p))
 
 
 def test_solve_mod_m_consistent_systems():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cechlift.coefgroup import AbelianGroup, AbelianHom, direct_sum, fusion_hom_mod2
-from cechlift.errors import BaseMismatchError
+from cechlift.errors import BaseMismatchError, InternalCheckError
 from cechlift.fingroup import (
     BUILTIN_EXTENSIONS,
     abelian_structure,
@@ -34,7 +34,10 @@ from cechlift.whitney import (
     product_cocycle,
     product_extension,
     whitney_obstruction,
+    z2_h1_order_from_ranks,
 )
+from oracles import cohomology_dim_gf2
+from subdivision import LABELS, complex_by_label
 
 H1_Z2_ORDERS = {"circle": 2, "sphere2": 1, "torus7": 4, "rp2_6": 2, "klein": 4}
 
@@ -256,6 +259,25 @@ def test_doubled_structure_counts_match_h1():
             ext = builtin_extension(ename)
             s = random_cocycle(x, ext.base, 4)
             assert hyperbolic_structure_count(s, ext) == expected
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_doubled_structure_count_against_gf2_oracle(label):
+    x = complex_by_label(label)
+    ext = builtin_extension("z4_over_z2")
+    expected = 2 ** cohomology_dim_gf2(x, 1)
+    assert z2_h1_order_from_ranks(x) == expected
+    assert hyperbolic_structure_count(identity_cocycle(x, ext.base), ext) == expected
+
+
+def test_doubled_structure_count_check_can_fail(monkeypatch):
+    import cechlift.whitney
+
+    ext = builtin_extension("z4_over_z2")
+    s = identity_cocycle(builtin_complex("torus7"), ext.base)
+    monkeypatch.setattr(cechlift.whitney, "count_inequivalent_lifts", lambda *args: 8)
+    with pytest.raises(InternalCheckError):
+        hyperbolic_structure_count(s, ext)
 
 
 def test_component_sections_must_match_their_extensions():
