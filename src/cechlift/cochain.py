@@ -32,8 +32,10 @@ import numpy as np
 from .coefgroup import AbelianGroup, Z2, parse_group
 from .errors import CapExceededError
 from .linalg import (
+    GfpFactor,
     GfpSpan,
     Snf,
+    factor_mod_p,
     invariant_factors,
     nullspace_mod_p,
     rank_mod_p,
@@ -63,6 +65,9 @@ __all__ = [
 DEFAULT_ENUM_CAP = 2 ** 16
 
 
+# Bounded so that emptying the library's caches reaches it too; trial
+# division of 2^31 - 1 alone takes milliseconds.
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -147,6 +152,11 @@ def _coboundary_snf(complex_: SimplicialComplex, p: int) -> Snf:
     return smith_normal_form(coboundary_matrix(complex_, p))
 
 
+@lru_cache(maxsize=None)
+def _coboundary_factor(complex_: SimplicialComplex, p: int, prime: int) -> GfpFactor:
+    return factor_mod_p(coboundary_matrix(complex_, p), prime)
+
+
 def _value_columns(f: Cochain) -> np.ndarray:
     if not f.values:
         return np.zeros((0, f.group.rank), dtype=np.int64)
@@ -168,14 +178,15 @@ def is_cocycle(f: Cochain) -> bool:
 
 def is_coboundary(f: Cochain) -> Optional[Cochain]:
     """A cochain g with delta g = f, or None.  The witness is the elimination
-    routine's first solution, so it is deterministic."""
+    routine's first solution, so it is deterministic; prime factors are
+    solved against a GF(p) factorization of delta cached per complex."""
     mat = coboundary_matrix(f.base, f.degree - 1)
     cols = _value_columns(f)
     witness_cols: list[list[int]] = []
     for j, m in enumerate(f.group.factors):
         b = cols[:, j] if cols.size else np.zeros(mat.shape[0], dtype=np.int64)
         if _is_prime(m):
-            x = solve_mod_p(mat, b, m)
+            x = solve_mod_p(_coboundary_factor(f.base, f.degree - 1, m), b, m)
             if x is None:
                 return None
             witness_cols.append([int(t) for t in x])

@@ -1,26 +1,42 @@
 """Exact linear algebra helpers: GF(p) elimination and integer Smith normal form.
 
-Matrices over GF(p) are numpy int64 arrays reduced mod p after every row
-operation.  The Smith normal form works on plain Python ints, so entries
-can never overflow.  It is a sparse replay of the dense elimination kept in
-the tests as the reference: S rows and U rows are dicts of nonzeros, V is
+Matrices over GF(p) are numpy int64 arrays; `rref_mod_p` reduces one copy
+in place, mod p after every pivot's update, so every entry stays below p
+and every product below p^2 < 2^63.
+
+A GF(p) solve goes through a `GfpFactor` of the matrix: `factor_mod_p`
+row-reduces [A | I] once and keeps the right block T, the product of the
+row operations, so each right-hand side b costs one product T b.  Callers
+that ask many questions of one matrix keep the factor (cochain caches one
+per complex, degree and prime), and the witness is the one a fresh
+elimination of [A | b] returns; `factor_mod_p` gives the argument.
+
+The Smith normal form works on plain Python ints, so entries can never
+overflow.  It is a sparse replay of the dense elimination kept in the
+tests as the reference: S rows and U rows are dicts of nonzeros, V is
 kept by columns, rows and columns move through position tables, and a
 column-to-rows index lets each step touch only nonzero entries.  The
 operations and their order are those of the dense elimination, so S, U
-and V are identical to it, entry for entry.
+and V are identical to it, entry for entry.  Solves and kernel samples
+against an `Snf` go through per-row views of the nonzeros of U and V,
+built once per `Snf`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
     "rref_mod_p",
     "rank_mod_p",
+    "GfpFactor",
+    "factor_mod_p",
     "solve_mod_p",
     "nullspace_mod_p",
     "GfpSpan",
@@ -34,6 +50,10 @@ __all__ = [
 
 # ---------------------------------------------------------------- GF(p) ----
 
+# Rows updated together per numpy call in an elimination step: bounds the
+# temporaries to a block of rows instead of the whole matrix.
+_BLOCK_ROWS = 64
+
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.int64)
@@ -44,7 +64,10 @@ def _as_matrix(a) -> np.ndarray:
 
 def rref_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Row-reduce a copy of `a` mod the prime `p`; returns (rref, pivot columns)."""
-    m = _as_matrix(a) % p
+    m = np.array(a, dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    np.remainder(m, p, out=m)
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -59,9 +82,17 @@ def rref_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
             m[[r, i]] = m[[i, r]]
         inv = pow(int(m[r, c]), p - 2, p)
         m[r] = (m[r] * inv) % p
-        for j in range(rows):
-            if j != r and m[j, c]:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+        # Rows at positions >= r are zero left of c, so the pivot row is too
+        # and the update only needs columns >= c.
+        prow = m[r, c:]
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        for k in range(0, others.size, _BLOCK_ROWS):
+            blk = others[k : k + _BLOCK_ROWS]
+            sub = m[blk, c:]
+            sub -= m[blk, c, None] * prow
+            np.remainder(sub, p, out=sub)
+            m[blk, c:] = sub
         pivots.append(c)
         r += 1
     return m, pivots
@@ -71,18 +102,80 @@ def rank_mod_p(a, p: int) -> int:
     return len(rref_mod_p(a, p)[1])
 
 
-def solve_mod_p(a, b, p: int) -> Optional[np.ndarray]:
-    """First solution of a x = b mod prime p (free variables set to 0), or None."""
+@dataclass(frozen=True, eq=False)
+class GfpFactor:
+    """Row operations reducing a rows x cols matrix A mod the prime p.
+
+    T A mod p is the reduced row echelon form of A, with its pivots at the
+    listed columns; `t` is read-only and shared by every solve.
+    """
+
+    t: np.ndarray
+    pivots: tuple[int, ...]
+    p: int
+    rows: int
+    cols: int
+
+
+def factor_mod_p(a, p: int) -> GfpFactor:
+    """Reduce [A mod p | I] once and keep T, the right block of the result.
+
+    Why T b gives the same witness as eliminating [A | b]: the steps that
+    pivot on A's columns depend only on those columns, so they are exactly
+    the steps the elimination of [A | b] performs, and applied to b they
+    produce its augmented column.  The steps that follow pivot on I's
+    columns; each adds a row at a position >= rank (zero on A's side) into
+    other rows.  On a consistent b those rows of T b are zero, so the first
+    rank entries of T b are the augmented column's, and the rows from rank
+    on change only among themselves by invertible steps.  Hence b is
+    consistent iff (T b)[rank:] == 0, and then x[pivots] = (T b)[:rank] is
+    the same first solution, free variables 0.
+    """
     m = _as_matrix(a)
-    rhs = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-    if rhs.shape[0] != m.shape[0]:
+    rows, cols = m.shape
+    # [A mod p | I] in the narrowest type that holds 0..p-1: rref_mod_p's
+    # int64 copy is then the only full-width copy alive.
+    small = np.zeros((rows, cols + rows), dtype=np.min_scalar_type(p - 1))
+    small[:, :cols] = m % p
+    del m
+    np.fill_diagonal(small[:, cols:], 1)
+    reduced, pivots = rref_mod_p(small, p)
+    del small
+    t = np.ascontiguousarray(reduced[:, cols:])
+    del reduced
+    t.setflags(write=False)
+    return GfpFactor(t=t, pivots=tuple(c for c in pivots if c < cols), p=p, rows=rows, cols=cols)
+
+
+def _matvec_mod(t: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """t @ b mod p, exact in int64 for entries of t and b below p <= 2^31.
+
+    b is split into 16-bit limbs, so each product is below 2^31 * 2^16 =
+    2^47 and a row of t sums fewer than 2^16 of them without overflow; a t
+    with 2^16 rows would take 32 GiB, far past anything built here.
+    """
+    hi, lo = b >> 16, b & 0xFFFF
+    return ((t @ hi) % p * 0x10000 + (t @ lo) % p) % p
+
+
+def solve_mod_p(a: Union[GfpFactor, np.ndarray], b, p: int) -> Optional[np.ndarray]:
+    """First solution of a x = b mod prime p (free variables set to 0), or None.
+
+    `a` is the matrix or its `GfpFactor` mod p; given the matrix, it is
+    factored first.
+    """
+    f = a if isinstance(a, GfpFactor) else factor_mod_p(a, p)
+    if f.p != p:
+        raise ValueError(f"factor is mod {f.p}, not mod {p}")
+    rhs = np.asarray(b, dtype=np.int64).reshape(-1)
+    if rhs.shape[0] != f.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug, pivots = rref_mod_p(np.hstack([m, rhs]), p)
-    if m.shape[1] in pivots:
+    tb = _matvec_mod(f.t, rhs % p, p)
+    rank = len(f.pivots)
+    if tb[rank:].any():
         return None
-    x = np.zeros(m.shape[1], dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, m.shape[1]]
+    x = np.zeros(f.cols, dtype=np.int64)
+    x[list(f.pivots)] = tb[:rank]
     return x
 
 
@@ -156,6 +249,30 @@ class Snf:
 
     def torsion(self) -> list[int]:
         return [d for d in self.diagonal() if d > 1]
+
+    # Nonzeros of U and V per row, built on first use.  They are not
+    # fields, so equality and hashing see only the fields above.
+    @cached_property
+    def _u_rows(self) -> list[tuple[array, tuple[int, ...]]]:
+        return _nonzero_rows(self.u)
+
+    @cached_property
+    def _v_rows(self) -> list[tuple[array, tuple[int, ...]]]:
+        return _nonzero_rows(self.v)
+
+
+def _nonzero_rows(mat) -> list[tuple[array, tuple[int, ...]]]:
+    """(indices, values) of the nonzero entries of each row."""
+    out = []
+    for row in mat:
+        idx = array("l", [k for k, x in enumerate(row) if x])
+        out.append((idx, tuple(row[k] for k in idx)))
+    return out
+
+
+def _sparse_dot(row: tuple[array, tuple[int, ...]], vec: list[int]) -> int:
+    idx, vals = row
+    return sum(x * vec[k] for k, x in zip(idx, vals))
 
 
 def _axpy(dst: dict, src: dict, k: int) -> None:
@@ -315,7 +432,7 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     b = [int(x) for x in b]
     if len(b) != snf.rows:
         raise ValueError("right-hand side length does not match row count")
-    ub = [sum(snf.u[i][k] * b[k] for k in range(snf.rows)) % m for i in range(snf.rows)]
+    ub = [_sparse_dot(row, b) % m for row in snf._u_rows]
     z = [0] * snf.cols
     diag = snf.diagonal()
     for i in range(snf.rows):
@@ -331,8 +448,7 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
         # d z = rhs (mod m)  <=>  (d/g) z = rhs/g (mod m/g)
         mm = m // g
         z[i] = (rhs // g) * pow(d // g, -1, mm) % mm
-    x = [sum(snf.v[i][k] * z[k] for k in range(snf.cols)) % m for i in range(snf.cols)]
-    return x
+    return [_sparse_dot(row, z) % m for row in snf._v_rows]
 
 
 def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
@@ -344,7 +460,7 @@ def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
         g = gcd(d, m) if d else m
         # solutions of d z = 0 mod m are the multiples of m/g
         z[i] = rng.randrange(g) * (m // g)
-    return [sum(snf.v[i][k] * z[k] for k in range(snf.cols)) % m for i in range(snf.cols)]
+    return [_sparse_dot(row, z) % m for row in snf._v_rows]
 
 
 # ------------------------------------------------------- invariant factors ----

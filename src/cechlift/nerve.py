@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Simplex",
@@ -46,10 +47,15 @@ Simplex = tuple[int, ...]
 
 @dataclass(frozen=True, eq=False)
 class SimplicialComplex:
-    """Face-closed finite simplicial complex with canonical per-dimension ordering."""
+    """Face-closed finite simplicial complex with canonical per-dimension ordering.
+
+    `simplices` is a read-only view: coboundary matrices, their
+    factorizations and cohomology are cached per complex, so the complex
+    must not change after it is built.
+    """
 
     vertex_count: int
-    simplices: dict[int, tuple[Simplex, ...]]
+    simplices: Mapping[int, tuple[Simplex, ...]]
     facets: tuple[Simplex, ...]
     _index: dict[Simplex, int] = field(repr=False, default_factory=dict)
 
@@ -57,6 +63,7 @@ class SimplicialComplex:
         for p, simps in self.simplices.items():
             for i, s in enumerate(simps):
                 self._index[s] = i
+        object.__setattr__(self, "simplices", MappingProxyType(dict(self.simplices)))
 
     @property
     def dimension(self) -> int:
@@ -118,15 +125,10 @@ def build_complex(maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
         missing = sorted(set(range(vertex_count)) - vertices)
         raise ValueError(f"vertex indices must be contiguous from 0; missing {missing}")
 
-    top: set[Simplex] = set()
-    for s in closure:
-        p = len(s) - 1
-        in_bigger = any(
-            set(s) < set(t) for t in simplices.get(p + 1, ())
-        )
-        if not in_bigger:
-            top.add(s)
-    facets = tuple(sorted(top, key=lambda s: (len(s), s)))
+    # The closure is face-closed, so a simplex lies in a bigger one exactly
+    # when it is a codimension-1 face of some simplex of the closure.
+    inner = {s[:j] + s[j + 1 :] for s in closure if len(s) > 1 for j in range(len(s))}
+    facets = tuple(sorted(closure - inner, key=lambda s: (len(s), s)))
     return SimplicialComplex(vertex_count=vertex_count, simplices=simplices, facets=facets)
 
 

@@ -30,7 +30,11 @@ LABELS = (*BUILTIN_COMPLEXES, "sd1(rp2_6)", "sd1(torus7)")
 
 
 def complex_by_label(label: str) -> SimplicialComplex:
-    """The builtin complex `name`, or its barycentric subdivision for `sd1(name)`."""
-    if label.startswith("sd1(") and label.endswith(")"):
-        return barycentric_subdivision(builtin_complex(label[4:-1]))
+    """The builtin complex `name`, or its k-th barycentric subdivision for `sdk(name)`."""
+    if label.startswith("sd") and label.endswith(")"):
+        k, name = label[2:-1].split("(")
+        x = builtin_complex(name)
+        for _ in range(int(k)):
+            x = barycentric_subdivision(x)
+        return x
     return builtin_complex(label)

@@ -8,6 +8,7 @@ import pytest
 from cechlift.coefgroup import AbelianGroup, Z2
 from cechlift.cochain import (
     Cochain,
+    _coboundary_factor,
     classes_equal,
     coboundary,
     coboundary_matrix,
@@ -22,10 +23,14 @@ from cechlift.cochain import (
 from cechlift.errors import CapExceededError
 from cechlift.nerve import BUILTIN_COMPLEXES, builtin_complex
 from cechlift.obstruct import mobius_cocycle
+from gfp_reference import solve_mod_p_reference
 from oracles import cohomology_dim_gf2, cohomology_dim_mod_p, gf2_span
+from subdivision import complex_by_label
 
 Z4 = AbelianGroup((4,))
 Z6 = AbelianGroup((6,))
+P31 = 2**31 - 1
+Z_P31 = AbelianGroup((P31,))
 
 GF2_DIMS = {
     "circle": (1, 1, 0),
@@ -154,6 +159,42 @@ def test_is_coboundary_exhaustive_on_rp2_degree_two():
         assert (witness is not None) == (mask in image)
         if witness is not None:
             assert coboundary(witness).values == f.values
+
+
+def _reference_witness(f, m):
+    b = [v[0] for v in f.values]
+    x = solve_mod_p_reference(coboundary_matrix(f.base, f.degree - 1), b, m)
+    return None if x is None else [int(t) for t in x]
+
+
+def test_is_coboundary_exact_with_the_largest_prime_coefficients():
+    # Values near 2^31 make every product in T b large, so an int64
+    # overflow there would show as a witness that differs or fails.
+    x = builtin_complex("torus7")
+    rng = random.Random(17)
+    for degree in (1, 2):
+        f = coboundary(_random_cochain(rng, x, degree - 1, Z_P31))
+        witness = is_coboundary(f)
+        assert witness is not None
+        assert coboundary(witness) == f
+        assert [v[0] for v in witness.values] == _reference_witness(f, P31)
+    # H^2(torus; Z_p) = Z_p, and one triangle carrying 1 generates it.
+    f = Cochain(x, 2, Z_P31, ((1,),) + ((0,),) * (x.dim_count(2) - 1))
+    assert is_coboundary(f) is None
+    assert _reference_witness(f, P31) is None
+
+
+@pytest.mark.parametrize("group", (Z2, AbelianGroup((3,)), Z4, AbelianGroup((2, 4))), ids=lambda g: g.format())
+def test_cold_and_warm_witnesses_agree(group):
+    x = complex_by_label("sd1(rp2_6)")
+    rng = random.Random(23)
+    f = coboundary(_random_cochain(rng, x, 1, group))
+    _coboundary_factor.cache_clear()
+    cold = is_coboundary(f)
+    assert cold is not None and coboundary(cold) == f
+    assert [is_coboundary(f) for _ in range(3)] == [cold] * 3
+    if group.factors[0] == 2:
+        assert [v[0] for v in cold.values] == _reference_witness(f, 2)
 
 
 def test_mobius_edge_vector_is_a_nonbounding_cocycle():

@@ -8,7 +8,9 @@ import pytest
 
 from cechlift.cochain import coboundary_matrix
 from cechlift.linalg import (
+    GfpFactor,
     GfpSpan,
+    factor_mod_p,
     invariant_factors,
     nullspace_mod_p,
     rank_mod_p,
@@ -17,6 +19,11 @@ from cechlift.linalg import (
     smith_normal_form,
     solve_mod_m,
     solve_mod_p,
+)
+from gfp_reference import (
+    sample_kernel_mod_m_reference,
+    solve_mod_m_reference,
+    solve_mod_p_reference,
 )
 from oracles import bareiss_det, exhaustive_solvable_mod, gf2_rank, int_matmul, naive_rank_mod_p
 from snf_reference import smith_normal_form_reference
@@ -78,6 +85,71 @@ def test_solve_mod_p_solution_checks_for_larger_prime():
         x = solve_mod_p(a, b, 11)
         assert x is not None
         assert np.array_equal((a @ x) % 11, b)
+
+
+def _same_solution(got, ref):
+    if got is None or ref is None:
+        return got is None and ref is None
+    return [int(v) for v in got] == [int(v) for v in ref]
+
+
+def _random_system(rng, rows, cols, p, consistent):
+    hi = min(p, 50)
+    a = np.array(
+        [[rng.randrange(-hi, hi) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+    ).reshape(rows, cols)
+    if consistent:
+        x0 = [rng.randrange(p) for _ in range(cols)]
+        b = [sum(int(v) * x for v, x in zip(row, x0)) % p for row in a.tolist()]
+    else:
+        b = [rng.randrange(p) for _ in range(rows)]
+    return a, np.array(b, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+def test_solve_mod_p_matches_dense_reference_on_random_systems(p):
+    # Shapes include 0 x n and n x 0; half the systems are consistent by
+    # construction, the others mostly not.
+    rng = random.Random(p)
+    for k in range(300):
+        a, b = _random_system(rng, rng.randrange(0, 7), rng.randrange(0, 8), p, k % 2 == 0)
+        ref = solve_mod_p_reference(a, b, p)
+        factor = factor_mod_p(a, p)
+        assert _same_solution(solve_mod_p(a, b, p), ref)
+        assert _same_solution(solve_mod_p(factor, b, p), ref)
+        assert _same_solution(solve_mod_p(factor, b, p), ref)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_solve_mod_p_matches_dense_reference_on_coboundaries(label):
+    x = complex_by_label(label)
+    rng = random.Random(label)
+    for degree in (0, 1):
+        mat = coboundary_matrix(x, degree)
+        for p in (2, 3, 2**31 - 1):
+            factor = factor_mod_p(mat, p)
+            assert factor.t.shape == (mat.shape[0], mat.shape[0])
+            assert not factor.t.flags.writeable
+            for consistent in (True, False, True):
+                if consistent:
+                    x0 = np.array([rng.randrange(p) for _ in range(mat.shape[1])], dtype=object)
+                    b = np.array([int(v) % p for v in mat.astype(object) @ x0], dtype=np.int64)
+                else:
+                    b = np.array([rng.randrange(p) for _ in range(mat.shape[0])], dtype=np.int64)
+                ref = solve_mod_p_reference(mat, b, p)
+                assert _same_solution(solve_mod_p(factor, b, p), ref)
+                if consistent:
+                    assert ref is not None
+
+
+def test_solve_mod_p_checks_its_factor():
+    factor = factor_mod_p(np.array([[1, 1], [0, 1]]), 3)
+    assert isinstance(factor, GfpFactor)
+    assert (factor.rows, factor.cols, factor.p, factor.pivots) == (2, 2, 3, (0, 1))
+    with pytest.raises(ValueError):
+        solve_mod_p(factor, [1, 2], 5)
+    with pytest.raises(ValueError):
+        solve_mod_p(factor, [1, 2, 0], 3)
 
 
 def test_nullspace_mod_p():
@@ -215,6 +287,48 @@ def test_solve_mod_m_detects_inconsistency():
             if x is not None:
                 got = [sum(r * xi for r, xi in zip(row, x)) % m for row in a]
                 assert got == [bb % m for bb in b]
+
+
+def test_solve_mod_m_matches_dense_reference():
+    rng = random.Random(13)
+    for m in (4, 6, 9, 12, 2**31 - 1):
+        for k in range(120):
+            rows, cols = rng.randrange(0, 6), rng.randrange(0, 6)
+            a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+            snf = smith_normal_form(np.array(a, dtype=np.int64).reshape(rows, cols))
+            if k % 2:
+                b = [rng.randrange(m) for _ in range(rows)]
+            else:
+                x0 = [rng.randrange(m) for _ in range(cols)]
+                b = [sum(r * x for r, x in zip(row, x0)) % m for row in a]
+            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
+            seed = rng.randrange(1 << 30)
+            got = sample_kernel_mod_m(snf, m, random.Random(seed))
+            assert got == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
+
+
+@pytest.mark.parametrize("label", ("torus7", "rp2_6", "sd1(rp2_6)"))
+def test_solve_mod_m_matches_dense_reference_on_coboundaries(label):
+    x = complex_by_label(label)
+    rng = random.Random(label)
+    for degree in (0, 1):
+        mat = coboundary_matrix(x, degree)
+        snf = smith_normal_form(mat)
+        for m in (4, 6, 8):
+            x0 = [rng.randrange(m) for _ in range(mat.shape[1])]
+            for b in (
+                [int(v) % m for v in mat @ np.array(x0, dtype=np.int64)],
+                [rng.randrange(m) for _ in range(mat.shape[0])],
+            ):
+                assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
+
+
+def test_snf_views_leave_fields_and_equality_alone():
+    a = np.array([[2, 4], [6, 8], [1, 3]])
+    snf, again = smith_normal_form(a), smith_normal_form(a)
+    solve_mod_m(snf, [0, 0, 0], 4)
+    assert snf == again and hash(snf) == hash(again)
+    assert (snf.s, snf.u, snf.v) == (again.s, again.u, again.v)
 
 
 def test_sample_kernel_mod_m_lands_in_kernel_and_covers():

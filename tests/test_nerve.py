@@ -1,9 +1,14 @@
 """Simplicial complex construction, canonical ordering, and the builtins."""
 
+import random
+
 import pytest
 
+from cechlift.coefgroup import Z2
+from cechlift.cochain import Cochain, coboundary, is_coboundary
 from cechlift.nerve import (
     BUILTIN_COMPLEXES,
+    SimplicialComplex,
     build_complex,
     builtin_complex,
     complex_digest,
@@ -12,6 +17,7 @@ from cechlift.nerve import (
     simplices_of_dim,
     write_complex,
 )
+from subdivision import LABELS, complex_by_label
 
 COUNTS = {
     "circle": (3, 3, 0),
@@ -95,6 +101,55 @@ def test_build_complex_normalizes_vertex_order():
     x = build_complex([(2, 0, 1)])
     assert x.triangles() == ((0, 1, 2),)
     assert x.edges() == ((0, 1), (0, 2), (1, 2))
+
+
+def _facets_by_pairwise_rule(x):
+    # The direct rule: a simplex is maximal when no simplex one dimension
+    # up contains it.
+    top = set()
+    for p, simps in x.simplices.items():
+        for s in simps:
+            if not any(set(s) < set(t) for t in x.simplices.get(p + 1, ())):
+                top.add(s)
+    return tuple(sorted(top, key=lambda s: (len(s), s)))
+
+
+@pytest.mark.parametrize("label", (*LABELS, "sd2(rp2_6)", "sd2(torus7)"))
+def test_facets_match_the_pairwise_rule(label):
+    x = complex_by_label(label)
+    assert x.facets == _facets_by_pairwise_rule(x)
+
+
+def test_facets_of_a_mixed_dimension_complex():
+    # A tetrahedron, a triangle and a dangling edge hanging off it, an
+    # isolated vertex, and a listed simplex that is not maximal.
+    x = build_complex([(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,), (1, 2)])
+    expected = ((7,), (5, 6), (3, 4, 5), (0, 1, 2, 3))
+    assert x.facets == expected
+    assert x.facets == _facets_by_pairwise_rule(x)
+    assert build_complex(expected).simplices == x.simplices
+
+
+def test_simplices_are_read_only():
+    x = build_complex(builtin_complex("torus7").facets)
+    rng = random.Random(3)
+    g = Cochain(x, 1, Z2, tuple((rng.randrange(2),) for _ in range(x.dim_count(1))))
+    f = coboundary(g)
+    witness = is_coboundary(f)
+    with pytest.raises(TypeError):
+        x.simplices[1] = ()
+    with pytest.raises(TypeError):
+        del x.simplices[2]
+    assert x.dim_count(1) == 21 and x.dim_count(2) == 14
+    assert is_coboundary(f) == witness
+    assert coboundary(witness) == f
+
+
+def test_complex_keeps_its_own_copy_of_the_simplex_table():
+    table = {0: ((0,), (1,)), 1: ((0, 1),)}
+    x = SimplicialComplex(vertex_count=2, simplices=table, facets=((0, 1),))
+    table[1] = ()
+    assert x.edges() == ((0, 1),)
 
 
 def test_unknown_builtin():
