@@ -9,6 +9,11 @@ factors never interact, which lets every question split into one cyclic
 factor at a time: prime factors go through GF(p) elimination, composite
 ones through the integer Smith normal form.
 
+A cochain keeps its values twice: as a tuple of residue tuples, which
+fixes equality, hashing and the file and JSON forms, and as a read-only
+(simplices x rank) int64 array, range-tested once on construction, which
+the coboundary, the solves and the arithmetic use.
+
 Cohomology with arbitrary finite abelian coefficients is assembled from
 integral data (Betti numbers and torsion of the underlying chain complex)
 by the universal-coefficient rules Hom(Z, Zm) = Zm, Hom(Zd, Zm) =
@@ -21,7 +26,7 @@ other on every call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -81,12 +86,18 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Cochain:
-    """A p-cochain: one coefficient-group element per canonical p-simplex."""
+    """A p-cochain: one coefficient-group element per canonical p-simplex.
+
+    `values` may be given as a sequence of residue tuples or as an
+    (n x rank) integer array; it is stored as a tuple of tuples of ints, and
+    `array` holds the same values as a read-only int64 array.
+    """
 
     base: SimplicialComplex
     degree: int
     group: AbelianGroup
     values: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = len(simplices_of_dim(self.base, self.degree))
@@ -94,7 +105,9 @@ class Cochain:
             raise ValueError(
                 f"degree-{self.degree} cochain needs {expected} values, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(self.group.check(v) for v in self.values))
+        arr = _checked_rows(self.values, self.group, expected)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "values", tuple(map(tuple, arr.tolist())))
 
     def _compatible(self, other: "Cochain") -> None:
         if self.base is not other.base and self.base.simplices != other.base.simplices:
@@ -102,26 +115,54 @@ class Cochain:
         if self.degree != other.degree or self.group != other.group:
             raise ValueError("cochain degree or coefficients mismatch")
 
+    def _reduced(self, arr: np.ndarray) -> "Cochain":
+        return Cochain(self.base, self.degree, self.group, arr % _moduli(self.group))
+
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        vals = tuple(self.group.add(a, b) for a, b in zip(self.values, other.values))
-        return Cochain(self.base, self.degree, self.group, vals)
+        return self._reduced(self.array + other.array)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        vals = tuple(self.group.sub(a, b) for a, b in zip(self.values, other.values))
-        return Cochain(self.base, self.degree, self.group, vals)
+        return self._reduced(self.array - other.array)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.base, self.degree, self.group, tuple(self.group.neg(a) for a in self.values))
+        return self._reduced(-self.array)
 
     def is_zero(self) -> bool:
-        zero = self.group.zero()
-        return all(v == zero for v in self.values)
+        return not self.array.any()
 
     def value_on(self, simplex) -> tuple[int, ...]:
         row = self.base.index_of(tuple(simplex))
         return self.values[row]
+
+
+def _moduli(group: AbelianGroup) -> np.ndarray:
+    return np.array(group.factors, dtype=np.int64)
+
+
+def _checked_rows(values, group: AbelianGroup, n: int) -> np.ndarray:
+    """values as a read-only (n x rank) int64 array, range-tested in one
+    vectorized pass.  On a bad value, AbelianGroup.check of the first bad
+    one raises its own message."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged rows
+        arr = np.array(None)
+    if arr.size == 0 and n * group.rank == 0:
+        out = np.zeros((n, group.rank), dtype=np.int64)
+    elif (
+        arr.dtype.kind in "iub"
+        and arr.shape == (n, group.rank)
+        and not ((arr < 0) | (arr >= _moduli(group))).any()
+    ):
+        out = arr.astype(np.int64)
+    else:
+        for v in values:
+            group.check(v)
+        raise ValueError(f"cochain values must be integer residue tuples for factors {group.factors}")
+    out.setflags(write=False)
+    return out
 
 
 def zero_cochain(complex_: SimplicialComplex, degree: int, group: AbelianGroup) -> Cochain:
@@ -157,19 +198,9 @@ def _coboundary_factor(complex_: SimplicialComplex, p: int, prime: int) -> GfpFa
     return factor_mod_p(coboundary_matrix(complex_, p), prime)
 
 
-def _value_columns(f: Cochain) -> np.ndarray:
-    if not f.values:
-        return np.zeros((0, f.group.rank), dtype=np.int64)
-    return np.array(f.values, dtype=np.int64)
-
-
 def coboundary(f: Cochain) -> Cochain:
-    mat = coboundary_matrix(f.base, f.degree)
-    cols = _value_columns(f)
-    out = mat @ cols if cols.size else np.zeros((mat.shape[0], f.group.rank), dtype=np.int64)
-    if out.size:
-        out %= np.array(f.group.factors, dtype=np.int64)
-    return Cochain(f.base, f.degree + 1, f.group, tuple(map(tuple, out.tolist())))
+    out = coboundary_matrix(f.base, f.degree) @ f.array
+    return Cochain(f.base, f.degree + 1, f.group, out % _moduli(f.group))
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -180,27 +211,18 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
     """A cochain g with delta g = f, or None.  The witness is the elimination
     routine's first solution, so it is deterministic; prime factors are
     solved against a GF(p) factorization of delta cached per complex."""
-    mat = coboundary_matrix(f.base, f.degree - 1)
-    cols = _value_columns(f)
-    witness_cols: list[list[int]] = []
+    n = len(simplices_of_dim(f.base, f.degree - 1))
+    witness = np.zeros((n, f.group.rank), dtype=np.int64)
     for j, m in enumerate(f.group.factors):
-        b = cols[:, j] if cols.size else np.zeros(mat.shape[0], dtype=np.int64)
+        b = f.array[:, j]
         if _is_prime(m):
             x = solve_mod_p(_coboundary_factor(f.base, f.degree - 1, m), b, m)
-            if x is None:
-                return None
-            witness_cols.append([int(t) for t in x])
         else:
-            x = solve_mod_m(_coboundary_snf(f.base, f.degree - 1), list(b), m)
-            if x is None:
-                return None
-            witness_cols.append(x)
-    n = mat.shape[1]
-    if f.group.rank == 0:
-        vals = tuple(() for _ in range(n))
-    else:
-        vals = tuple(tuple(col[i] for col in witness_cols) for i in range(n))
-    return Cochain(f.base, f.degree - 1, f.group, vals)
+            x = solve_mod_m(_coboundary_snf(f.base, f.degree - 1), b, m)
+        if x is None:
+            return None
+        witness[:, j] = x
+    return Cochain(f.base, f.degree - 1, f.group, witness)
 
 
 # ------------------------------------------------------------ cohomology ----
@@ -300,10 +322,8 @@ def cohomology(complex_: SimplicialComplex, p: int, coefficients: AbelianGroup =
         chains = []
         for slot in range(len(fs)):
             for v in vecs:
-                vals = tuple(
-                    tuple(int(v[i]) if j == slot else 0 for j in range(len(fs)))
-                    for i in range(n_p)
-                )
+                vals = np.zeros((n_p, len(fs)), dtype=np.int64)
+                vals[:, slot] = v
                 chains.append(Cochain(complex_, p, coefficients, vals))
         basis = tuple(chains)
         if factors != (prime,) * dimension:
@@ -351,10 +371,7 @@ def enumerate_classes(
         rep = zero_cochain(complex_, p, coefficients)
         for k, b in zip(combo, space.basis):
             if k:
-                scaled = Cochain(
-                    complex_, p, coefficients, tuple(coefficients.scale(k, v) for v in b.values)
-                )
-                rep = rep + scaled
+                rep = rep + b._reduced(k * b.array)
         out.append(CohomologyClass(representative=rep, space=space))
     return out
 

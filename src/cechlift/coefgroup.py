@@ -61,7 +61,10 @@ class AbelianGroup:
         return len(self.factors)
 
     def check(self, a: Sequence[int]) -> Element:
-        a = tuple(int(x) for x in a)
+        try:
+            a = tuple(int(x) for x in a)
+        except TypeError:
+            raise ValueError(f"element {a!r} is not a residue tuple for factors {self.factors}") from None
         if len(a) != len(self.factors):
             raise ValueError(f"element {a} has wrong length for factors {self.factors}")
         if any(not 0 <= x < n for x, n in zip(a, self.factors)):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -94,12 +94,37 @@ def pack_tuple(orders: Sequence[int], values: Sequence[int]) -> int:
     return idx
 
 
+def pack_rows(orders: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """pack_tuple of every row of an n x len(orders) int64 array at once."""
+    idx = np.zeros(rows.shape[0], dtype=np.int64)
+    for j, o in enumerate(orders):
+        idx = idx * o + rows[:, j]
+    return idx
+
+
 def unpack_tuple(orders: Sequence[int], idx: int) -> tuple[int, ...]:
     out = []
     for o in reversed(orders):
         out.append(idx % o)
         idx //= o
     return tuple(reversed(out))
+
+
+def element_array(values: Sequence[int], order: int, describe: Callable[[int], str]) -> np.ndarray:
+    """`values` as a read-only int64 array of elements of a group of the
+    given order.
+
+    A value outside 0..order-1 raises ValueError(describe(position of the
+    first one)) before any conversion, so a negative value never reaches a
+    gather (where it would wrap around) and no Python int is too big.
+    """
+    arr = np.asarray(values)
+    outside = np.flatnonzero((arr < 0) | (arr >= order))
+    if outside.size:
+        raise ValueError(describe(int(outside[0])))
+    out = arr.astype(np.int64)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +169,13 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def inverse_table(self) -> np.ndarray:
+        """inverse as a read-only int64 array, for gathers."""
+        inv = np.array(self.inverse, dtype=np.int64)
+        inv.setflags(write=False)
+        return inv
 
 
 def make_group(table, names: Optional[Sequence[str]] = None) -> FiniteGroup:
@@ -342,6 +374,40 @@ class CentralExtension:
     def embed_element(self, k: Sequence[int]) -> int:
         return self.embed[self.kernel.element_index(k)]
 
+    # Read-only int64 tables for whole-array gathers, built on first use.
+
+    @cached_property
+    def projection_table(self) -> np.ndarray:
+        """Image in the base of each total element."""
+        return _frozen(self.projection.map)
+
+    @cached_property
+    def kernel_index_table(self) -> np.ndarray:
+        """Kernel index (canonical enumeration) of each total element, -1 off the kernel."""
+        idx = np.full(self.total.order, -1, dtype=np.int64)
+        idx[list(self.embed)] = np.arange(len(self.embed))
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def kernel_rows(self) -> np.ndarray:
+        """Kernel elements as residue rows, in canonical order: kernel.order x rank."""
+        rows = np.array(list(self.kernel.elements()), dtype=np.int64)
+        rows = rows.reshape(self.kernel.order, self.kernel.rank)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def embed_table(self) -> np.ndarray:
+        """Total element of each kernel index."""
+        return _frozen(self.embed)
+
+
+def _frozen(values: Sequence[int]) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
 
 def make_extension(
     total: FiniteGroup,
@@ -403,12 +469,22 @@ class Section:
         ext = self.extension
         if len(self.map) != ext.base.order:
             raise ValueError("section length must equal the base order")
-        for b, x in enumerate(self.map):
-            if ext.projection(x) != b:
-                raise ValueError(f"section value {x} over {b} is not in the fiber")
+        table = element_array(
+            self.map, ext.total.order,
+            lambda b: f"section value {self.map[b]} over {b} is out of range",
+        )
+        off = np.flatnonzero(ext.projection_table[table] != np.arange(len(table)))
+        if off.size:
+            b = int(off[0])
+            raise ValueError(f"section value {self.map[b]} over {b} is not in the fiber")
 
     def __call__(self, b: int) -> int:
         return self.map[b]
+
+    @property
+    def table(self) -> np.ndarray:
+        """map as an int64 array, for gathers."""
+        return np.array(self.map, dtype=np.int64)
 
     def is_normalized(self) -> bool:
         ext = self.extension

@@ -5,8 +5,9 @@ in place, mod p after every pivot's update, so every entry stays below p
 and every product below p^2 < 2^63.
 
 A GF(p) solve goes through a `GfpFactor` of the matrix: `factor_mod_p`
-row-reduces [A | I] once and keeps the right block T, the product of the
-row operations, so each right-hand side b costs one product T b.  Callers
+row-reduces [A | I] once, pivoting on A's columns only, and keeps the
+right block T, the product of the row operations, so each right-hand side
+b costs one product T b.  Callers
 that ask many questions of one matrix keep the factor (cochain caches one
 per complex, degree and prime), and the witness is the one a fresh
 elimination of [A | b] returns; `factor_mod_p` gives the argument.
@@ -18,17 +19,20 @@ kept by columns, rows and columns move through position tables, and a
 column-to-rows index lets each step touch only nonzero entries.  The
 operations and their order are those of the dense elimination, so S, U
 and V are identical to it, entry for entry.  Solves and kernel samples
-against an `Snf` go through per-row views of the nonzeros of U and V,
-built once per `Snf`.
+against an `Snf` multiply by U and V in compressed-row form: one index
+array of the nonzeros per `Snf` (taken from the sparse rows when
+`smith_normal_form` built it), the values reduced mod m once per modulus
+as Python ints, and each product one gather and one `np.add.reduceat`
+over 16-bit limbs, so it is exact in int64 for m up to 2^31.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,8 +66,12 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def rref_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce a copy of `a` mod the prime `p`; returns (rref, pivot columns)."""
+def rref_mod_p(a, p: int, *, pivot_cols: Optional[int] = None) -> tuple[np.ndarray, list[int]]:
+    """Row-reduce a copy of `a` mod the prime `p`; returns (rref, pivot columns).
+
+    With `pivot_cols`, only the first `pivot_cols` columns are pivoted on;
+    the columns after them are carried along by the same row operations.
+    """
     m = np.array(a, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
@@ -71,7 +79,7 @@ def rref_mod_p(a, p: int) -> tuple[np.ndarray, list[int]]:
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else min(pivot_cols, cols)):
         if r == rows:
             break
         hits = np.nonzero(m[r:, c])[0]
@@ -106,8 +114,9 @@ def rank_mod_p(a, p: int) -> int:
 class GfpFactor:
     """Row operations reducing a rows x cols matrix A mod the prime p.
 
-    T A mod p is the reduced row echelon form of A, with its pivots at the
-    listed columns; `t` is read-only and shared by every solve.
+    T is invertible and T A mod p is the reduced row echelon form of A, with
+    its pivots at the listed columns and zero rows from the rank on; `t` is
+    read-only and shared by every solve.
     """
 
     t: np.ndarray
@@ -118,18 +127,19 @@ class GfpFactor:
 
 
 def factor_mod_p(a, p: int) -> GfpFactor:
-    """Reduce [A mod p | I] once and keep T, the right block of the result.
+    """Reduce [A mod p | I], pivoting on A's columns only, and keep T, the
+    right block of the result.
 
     Why T b gives the same witness as eliminating [A | b]: the steps that
     pivot on A's columns depend only on those columns, so they are exactly
     the steps the elimination of [A | b] performs, and applied to b they
-    produce its augmented column.  The steps that follow pivot on I's
-    columns; each adds a row at a position >= rank (zero on A's side) into
-    other rows.  On a consistent b those rows of T b are zero, so the first
-    rank entries of T b are the augmented column's, and the rows from rank
-    on change only among themselves by invertible steps.  Hence b is
-    consistent iff (T b)[rank:] == 0, and then x[pivots] = (T b)[:rank] is
-    the same first solution, free variables 0.
+    produce its augmented column.  Once A's columns are exhausted the
+    elimination stops.  Pivoting on I's columns as well would only add
+    rows at positions >= rank (zero on A's side) into other rows, and on a
+    consistent b those rows of T b are zero, so such steps would change
+    neither the answer nor the invertibility of T.  T A has zero rows from
+    the rank on, so b is consistent iff (T b)[rank:] == 0, and then
+    x[pivots] = (T b)[:rank] is the same first solution, free variables 0.
     """
     m = _as_matrix(a)
     rows, cols = m.shape
@@ -139,20 +149,22 @@ def factor_mod_p(a, p: int) -> GfpFactor:
     small[:, :cols] = m % p
     del m
     np.fill_diagonal(small[:, cols:], 1)
-    reduced, pivots = rref_mod_p(small, p)
+    reduced, pivots = rref_mod_p(small, p, pivot_cols=cols)
     del small
     t = np.ascontiguousarray(reduced[:, cols:])
     del reduced
     t.setflags(write=False)
-    return GfpFactor(t=t, pivots=tuple(c for c in pivots if c < cols), p=p, rows=rows, cols=cols)
+    return GfpFactor(t=t, pivots=tuple(pivots), p=p, rows=rows, cols=cols)
 
 
-def _matvec_mod(t: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """t @ b mod p, exact in int64 for entries of t and b below p <= 2^31.
+def _matvec_mod(t: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """t @ b mod p, exact in int64 for entries of t and b in 0..2^31 - 1.
 
     b is split into 16-bit limbs, so each product is below 2^31 * 2^16 =
     2^47 and a row of t sums fewer than 2^16 of them without overflow; a t
-    with 2^16 rows would take 32 GiB, far past anything built here.
+    with 2^16 rows would take 32 GiB, far past anything built here.  p is
+    a modulus up to 2^31, or an array of them broadcast against the rows
+    of t @ b.
     """
     hi, lo = b >> 16, b & 0xFFFF
     return ((t @ hi) % p * 0x10000 + (t @ lo) % p) % p
@@ -250,29 +262,96 @@ class Snf:
     def torsion(self) -> list[int]:
         return [d for d in self.diagonal() if d > 1]
 
-    # Nonzeros of U and V per row, built on first use.  They are not
-    # fields, so equality and hashing see only the fields above.
-    @cached_property
-    def _u_rows(self) -> list[tuple[array, tuple[int, ...]]]:
-        return _nonzero_rows(self.u)
+    # Solver data, built on first use (smith_normal_form fills in the CSR
+    # forms from its sparse rows).  None of it is a field, so equality and
+    # hashing see only the fields above.
 
     @cached_property
-    def _v_rows(self) -> list[tuple[array, tuple[int, ...]]]:
-        return _nonzero_rows(self.v)
+    def _u_csr(self) -> "_Csr":
+        return _Csr.from_rows([{k: x for k, x in enumerate(row) if x} for row in self.u])
+
+    @cached_property
+    def _v_csr(self) -> "_Csr":
+        return _Csr.from_rows([{k: x for k, x in enumerate(row) if x} for row in self.v])
+
+    @cached_property
+    def _by_modulus(self) -> dict[int, "_SnfMod"]:
+        return {}
+
+    def _mod(self, m: int) -> "_SnfMod":
+        view = self._by_modulus.get(m)
+        if view is None:
+            view = self._by_modulus[m] = _SnfMod.build(self, m)
+        return view
 
 
-def _nonzero_rows(mat) -> list[tuple[array, tuple[int, ...]]]:
-    """(indices, values) of the nonzero entries of each row."""
-    out = []
-    for row in mat:
-        idx = array("l", [k for k, x in enumerate(row) if x])
-        out.append((idx, tuple(row[k] for k in idx)))
-    return out
+@dataclass(frozen=True, eq=False)
+class _Csr:
+    """Nonzeros of a matrix by rows: the rows that have any, the offset of
+    each such row's first entry, and every entry's column and exact value."""
+
+    hit_rows: np.ndarray
+    starts: np.ndarray
+    columns: np.ndarray
+    values: tuple[int, ...]
+    rows: int
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict[int, int]]) -> "_Csr":
+        """From one {column: nonzero value} dict per row."""
+        counts = np.array([len(r) for r in rows], dtype=np.int64)
+        columns = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(counts.sum()))
+        values = tuple(chain.from_iterable(r.values() for r in rows))
+        hit_rows = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[hit_rows]
+        return cls(hit_rows=hit_rows, starts=starts, columns=columns, values=values, rows=len(rows))
+
+    def matvec_mod(self, values_mod: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+        """This matrix times x mod m, given its values reduced mod m and x
+        in 0..m-1.  Exact in int64 by the 16-bit limb split of _matvec_mod:
+        each product is below 2^47, and a row holds fewer than 2^16 entries.
+        A row without entries gives 0 (reduceat would repeat the next
+        row's first product for it, so it is left out)."""
+        out = np.zeros(self.rows, dtype=np.int64)
+        if self.columns.size:
+            xs = x[self.columns]
+            hi = np.add.reduceat(values_mod * (xs >> 16), self.starts) % m
+            lo = np.add.reduceat(values_mod * (xs & 0xFFFF), self.starts) % m
+            out[self.hit_rows] = (hi * 0x10000 + lo) % m
+        return out
 
 
-def _sparse_dot(row: tuple[array, tuple[int, ...]], vec: list[int]) -> int:
-    idx, vals = row
-    return sum(x * vec[k] for k, x in zip(idx, vals))
+@dataclass(frozen=True, eq=False)
+class _SnfMod:
+    """An Snf's solver data mod m.  For each diagonal position i (m past the
+    diagonal, up to max(rows, cols)): g = gcd(d_i mod m, m), mm = m / g, and
+    inv, the inverse of d_i / g mod mm; d_i z = r (mod m) is solvable iff
+    g | r, with least solution z = (r / g) inv mod mm."""
+
+    u: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    mm: np.ndarray
+    inv: np.ndarray
+
+    @classmethod
+    def build(cls, snf: Snf, m: int) -> "_SnfMod":
+        # Reduced as Python ints, so an entry of any size is exact.
+        def reduced(values):
+            return np.array([x % m for x in values], dtype=np.int64)
+
+        diag = [d % m for d in snf.diagonal()]
+        diag += [0] * (max(snf.rows, snf.cols) - len(diag))
+        g = [gcd(d, m) for d in diag]
+        mm = [m // x for x in g]
+        inv = [pow(d // x, -1, n) for d, x, n in zip(diag, g, mm)]
+        return cls(
+            u=reduced(snf._u_csr.values),
+            v=reduced(snf._v_csr.values),
+            g=np.array(g, dtype=np.int64),
+            mm=np.array(mm, dtype=np.int64),
+            inv=np.array(inv, dtype=np.int64),
+        )
 
 
 def _axpy(dst: dict, src: dict, k: int) -> None:
@@ -416,6 +495,7 @@ def smith_normal_form(a) -> Snf:
         return tuple(out)
 
     ident = range(max(rows, cols))
+    u_csr = _Csr.from_rows([urow[r] for r in row_at])
     u = emit(urow, row_at, rows, ident)
     s = emit(srow, row_at, cols, colpos)
     vrow: list[dict] = [{} for _ in range(cols)]
@@ -423,44 +503,42 @@ def smith_normal_form(a) -> Snf:
         for i, x in vcol[c].items():
             vrow[i][j] = x
         vcol[c] = None
+    v_csr = _Csr.from_rows(vrow)
     v = emit(vrow, range(cols), cols, ident)
-    return Snf(s=s, u=u, v=v, rows=rows, cols=cols)
+    snf = Snf(s=s, u=u, v=v, rows=rows, cols=cols)
+    # The CSR forms from the sparse rows in hand, instead of a scan of the
+    # dense U and V on first use.
+    snf.__dict__.update(_u_csr=u_csr, _v_csr=v_csr)
+    return snf
 
 
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
-    """Solve A x = b (mod m) given the SNF of A; least solution, or None."""
-    b = [int(x) for x in b]
+    """Solve A x = b (mod m) given the SNF of A; least solution, or None.
+
+    With S = U A V, solve S z = U b row by row and return x = V z.
+    """
     if len(b) != snf.rows:
         raise ValueError("right-hand side length does not match row count")
-    ub = [_sparse_dot(row, b) % m for row in snf._u_rows]
-    z = [0] * snf.cols
-    diag = snf.diagonal()
-    for i in range(snf.rows):
-        d = diag[i] % m if i < len(diag) else 0
-        rhs = ub[i]
-        if d == 0:
-            if rhs % m:
-                return None
-            continue
-        g = gcd(d, m)
-        if rhs % g:
-            return None
-        # d z = rhs (mod m)  <=>  (d/g) z = rhs/g (mod m/g)
-        mm = m // g
-        z[i] = (rhs // g) * pow(d // g, -1, mm) % mm
-    return [_sparse_dot(row, z) % m for row in snf._v_rows]
+    mod = snf._mod(m)
+    # % m before the cast keeps entries of any size exact.
+    ub = snf._u_csr.matvec_mod(mod.u, (np.asarray(b) % m).astype(np.int64), m)
+    g, mm, inv = mod.g[: snf.rows], mod.mm[: snf.rows], mod.inv[: snf.rows]
+    if (ub % g).any():
+        return None
+    # Rows past the diagonal or with d = 0 mod m have g = m and mm = 1: z = 0.
+    z = np.zeros(snf.cols, dtype=np.int64)
+    k = min(snf.rows, snf.cols)
+    z[:k] = ((ub // g) * inv % mm)[:k]
+    return snf._v_csr.matvec_mod(mod.v, z, m).tolist()
 
 
 def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
     """Uniform random solution of A x = 0 (mod m) given the SNF of A."""
-    z = [0] * snf.cols
-    diag = snf.diagonal()
-    for i in range(snf.cols):
-        d = diag[i] % m if i < len(diag) else 0
-        g = gcd(d, m) if d else m
-        # solutions of d z = 0 mod m are the multiples of m/g
-        z[i] = rng.randrange(g) * (m // g)
-    return [_sparse_dot(row, z) % m for row in snf._v_rows]
+    mod = snf._mod(m)
+    # solutions of d z = 0 mod m are the multiples of m/g
+    steps = zip(mod.g[: snf.cols].tolist(), mod.mm[: snf.cols].tolist())
+    z = np.array([rng.randrange(g) * n for g, n in steps], dtype=np.int64)
+    return snf._v_csr.matvec_mod(mod.v, z, m).tolist()
 
 
 # ------------------------------------------------------- invariant factors ----

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Simplex",
@@ -87,6 +89,18 @@ class SimplicialComplex:
 
     def triangles(self) -> tuple[Simplex, ...]:
         return self.simplices.get(2, ())
+
+    @cached_property
+    def triangle_edges(self) -> np.ndarray:
+        """Edge rows (ab, bl, al) of each sorted triangle (a, b, l), as a
+        read-only T x 3 int64 array in canonical triangle order."""
+        index = self._index
+        rows = np.array(
+            [(index[(a, b)], index[(b, l)], index[(a, l)]) for a, b, l in self.triangles()],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        rows.setflags(write=False)
+        return rows
 
 
 def build_complex(maximal: Iterable[Sequence[int]]) -> SimplicialComplex:

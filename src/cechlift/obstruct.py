@@ -14,6 +14,15 @@ the cocycle lifts to the total group.  When a cochain c with delta c = q
 exists, twisting the section-induced candidate by -c produces an actual
 lift, and the lift is verified before it is returned.
 
+The group arithmetic runs on whole arrays: edge values and sections are
+int64 arrays, and the defect of every triangle, the corrected lift and
+the triangle checks are numpy gathers over the Cayley table, through the
+index tables cached on the complex (`triangle_edges`), the group
+(`inverse_table`) and the extension (`projection_table`,
+`kernel_index_table`, `kernel_rows`, `embed_table`).  A failed check
+names the first failing edge or triangle in canonical order, as a loop
+over them would.
+
 brute_force_lift searches every kernel twist of the section-induced
 candidate directly in the total group, with no linear algebra involved,
 so it serves as an independent oracle for the machinery above.
@@ -22,7 +31,7 @@ so it serves as an independent oracle for the machinery above.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,6 +53,8 @@ from .fingroup import (
     abelian_structure,
     canonical_section,
     cyclic_group,
+    element_array,
+    pack_rows,
     read_group,
     same_extension,
     same_group,
@@ -89,14 +100,17 @@ class BundleCocycle:
     base: SimplicialComplex
     group: FiniteGroup
     values: tuple[int, ...]
+    # values as a read-only int64 array, for gathers; set on construction.
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = self.base.edges()
         if len(self.values) != len(edges):
             raise ValueError(f"cocycle needs {len(edges)} edge values, got {len(self.values)}")
-        for v in self.values:
-            if not 0 <= v < self.group.order:
-                raise ValueError(f"edge value {v} is out of range")
+        table = element_array(
+            self.values, self.group.order, lambda i: f"edge value {self.values[i]} is out of range"
+        )
+        object.__setattr__(self, "table", table)
 
     def value(self, a: int, b: int) -> int:
         """Transition element on the oriented edge (a, b); inverse below the diagonal."""
@@ -107,13 +121,20 @@ class BundleCocycle:
         return self.group.inv(self.values[self.base.index_of((b, a))])
 
 
+def _first_failing_triangle(
+    base: SimplicialComplex, group: FiniteGroup, values: np.ndarray
+) -> Optional[tuple[int, int, int]]:
+    """First sorted triangle (a, b, l) with values[ab] * values[bl] != values[al]."""
+    tri = base.triangle_edges
+    v = values[tri]
+    bad = np.flatnonzero(group.table[v[:, 0], v[:, 1]] != v[:, 2])
+    return base.triangles()[bad[0]] if bad.size else None
+
+
 def validate_cocycle(s: BundleCocycle) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Check the triangle condition; returns (ok, first failing triangle or None)."""
-    g = s.group
-    for a, b, l in s.base.triangles():
-        if g.mul(s.value(a, b), s.value(b, l)) != s.value(a, l):
-            return False, (a, b, l)
-    return True, None
+    bad = _first_failing_triangle(s.base, s.group, s.table)
+    return bad is None, bad
 
 
 def identity_cocycle(complex_: SimplicialComplex, group: FiniteGroup) -> BundleCocycle:
@@ -178,15 +199,23 @@ class Lift:
     cocycle: BundleCocycle
     extension: CentralExtension
     values: tuple[int, ...]
+    # values as a read-only int64 array, for gathers; set on construction.
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ext = self.extension
         edges = self.cocycle.base.edges()
         if len(self.values) != len(edges):
             raise ValueError("lift needs one value per edge")
-        for (a, b), v in zip(edges, self.values):
-            if ext.projection(v) != self.cocycle.value(a, b):
-                raise ValueError(f"lift value over edge ({a}, {b}) projects to the wrong element")
+        table = element_array(
+            self.values, ext.total.order,
+            lambda i: f"lift value {self.values[i]} over edge {edges[i]} is out of range",
+        )
+        object.__setattr__(self, "table", table)
+        wrong = np.flatnonzero(ext.projection_table[table] != self.cocycle.table)
+        if wrong.size:
+            a, b = edges[wrong[0]]
+            raise ValueError(f"lift value over edge ({a}, {b}) projects to the wrong element")
         bad = self.failing_triangle()
         if bad is not None:
             raise ValueError(f"lifted triangle condition fails at {bad}")
@@ -199,11 +228,7 @@ class Lift:
         return self.extension.total.inv(self.values[self.cocycle.base.index_of((b, a))])
 
     def failing_triangle(self) -> Optional[tuple[int, int, int]]:
-        t = self.extension.total
-        for a, b, l in self.cocycle.base.triangles():
-            if t.mul(self.value(a, b), self.value(b, l)) != self.value(a, l):
-                return (a, b, l)
-        return None
+        return _first_failing_triangle(self.cocycle.base, self.extension.total, self.table)
 
 
 @dataclass(frozen=True)
@@ -229,23 +254,28 @@ def _check_instance(s: BundleCocycle, ext: CentralExtension, section: Optional[S
 
 
 def obstruction_cocycle(s: BundleCocycle, ext: CentralExtension, section: Optional[Section] = None) -> Cochain:
-    """Kernel-valued obstruction 2-cochain of the section-induced candidate lift."""
+    """Kernel-valued obstruction 2-cochain of the section-induced candidate lift.
+
+    All triangles at once: with sv = section[values] per edge, the defect is
+    T[T[sv[bl], inv[sv[al]]], sv[ab]] over the total group's Cayley table T.
+    """
     section = _check_instance(s, ext, section)
-    total = ext.total
-    e_base = ext.base.identity
-    values = []
-    for a, b, l in s.base.triangles():
-        lifted = total.mul(
-            total.mul(section(s.value(b, l)), total.inv(section(s.value(a, l)))),
-            section(s.value(a, b)),
+    table = ext.total.table
+    sv = section.table[s.table][s.base.triangle_edges]
+    lifted = table[table[sv[:, 1], ext.total.inverse_table[sv[:, 2]]], sv[:, 0]]
+    image = ext.projection_table[lifted]
+    off = np.flatnonzero(image != ext.base.identity)
+    if off.size:
+        a, b, l = s.base.triangles()[off[0]]
+        raise KernelViolationError(
+            f"defect over triangle ({a}, {b}, {l}) projects to "
+            f"{image[off[0]]}, not the identity; inputs are corrupted"
         )
-        if ext.projection(lifted) != e_base:
-            raise KernelViolationError(
-                f"defect over triangle ({a}, {b}, {l}) projects to "
-                f"{ext.projection(lifted)}, not the identity; inputs are corrupted"
-            )
-        values.append(ext.kernel_element_of(lifted))
-    return Cochain(s.base, 2, ext.kernel, tuple(values))
+    k = ext.kernel_index_table[lifted]
+    outside = np.flatnonzero(k < 0)
+    if outside.size:
+        raise ValueError(f"element {lifted[outside[0]]} is not in the embedded kernel")
+    return Cochain(s.base, 2, ext.kernel, ext.kernel_rows[k])
 
 
 def obstruction_class(
@@ -275,13 +305,12 @@ def obstruction_class(
 def _lift_from_correction(
     s: BundleCocycle, ext: CentralExtension, section: Section, correction: Cochain
 ) -> Lift:
-    total = ext.total
-    values = []
-    for (a, b), c in zip(s.base.edges(), correction.values):
-        twist = ext.embed_element(ext.kernel.neg(c))
-        values.append(total.mul(section(s.value(a, b)), twist))
+    """sigma(s_ab) * embed(-c_ab) on every edge."""
+    factors = ext.kernel.factors
+    twist = ext.embed_table[pack_rows(factors, -correction.array % np.array(factors, dtype=np.int64))]
+    values = ext.total.table[section.table[s.table], twist]
     try:
-        return Lift(cocycle=s, extension=ext, values=tuple(values))
+        return Lift(cocycle=s, extension=ext, values=tuple(values.tolist()))
     except ValueError as err:
         raise InternalCheckError(f"corrected lift failed verification: {err}") from err
 

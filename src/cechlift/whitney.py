@@ -17,6 +17,10 @@ of cohomology classes.  For the mod-2 fusion of a kernel-Z2 extension with
 itself the two component cochains coincide, their mod-2 sum is identically
 zero, and so a doubled cocycle always lifts; the number of inequivalent
 lifts is the order of H^1 of the nerve with Z2 coefficients.
+
+The fused sum is one product of the concatenated component cochains with
+the matrix of mu's generator images, split into 16-bit limbs so that it
+is exact for factors up to 2^31 - 1.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .coefgroup import AbelianGroup, AbelianHom, direct_sum, fusion_hom_mod2
 from .cochain import Cochain, classes_equal, coboundary_matrix
@@ -34,12 +40,13 @@ from .fingroup import (
     canonical_section,
     direct_product,
     make_extension,
+    pack_rows,
     pack_tuple,
     quotient_by_central,
     same_extension,
     unpack_tuple,
 )
-from .linalg import rank_mod_p
+from .linalg import _matvec_mod, rank_mod_p
 from .nerve import SimplicialComplex
 from .obstruct import (
     BundleCocycle,
@@ -73,11 +80,8 @@ def product_cocycle(cocycles: Sequence[BundleCocycle]) -> BundleCocycle:
             raise BaseMismatchError("cocycles live over different complexes")
     prod, _, _ = direct_product([s.group for s in cocycles])
     orders = [s.group.order for s in cocycles]
-    values = tuple(
-        pack_tuple(orders, [s.values[i] for s in cocycles])
-        for i in range(len(first.values))
-    )
-    return BundleCocycle(first.base, prod, values)
+    values = pack_rows(orders, np.stack([s.table for s in cocycles], axis=1))
+    return BundleCocycle(first.base, prod, tuple(values.tolist()))
 
 
 def product_extension(
@@ -224,16 +228,16 @@ def _summed_obstruction(
     fusion: AbelianHom,
     sections: Sequence[Section],
 ) -> Cochain:
-    """mu applied triangle by triangle to the tuple of component obstruction cochains."""
+    """mu applied triangle by triangle to the tuple of component obstruction
+    cochains: one product of the concatenated cochains with mu's matrix of
+    generator images, exact for factors up to 2^31 - 1 (see _matvec_mod)."""
     parts = [
-        obstruction_cocycle(s, e, sect) for s, e, sect in zip(cocycles, exts, sections)
+        obstruction_cocycle(s, e, sect).array for s, e, sect in zip(cocycles, exts, sections)
     ]
-    base = cocycles[0].base
-    values = []
-    for i in range(len(base.triangles())):
-        concat = tuple(x for p in parts for x in p.values[i])
-        values.append(fusion(concat))
-    return Cochain(base, 2, fusion.codomain, tuple(values))
+    images = np.array(fusion.images, dtype=np.int64).reshape(fusion.domain.rank, fusion.codomain.rank)
+    moduli = np.array(fusion.codomain.factors, dtype=np.int64)
+    values = _matvec_mod(images.T, np.concatenate(parts, axis=1).T, moduli[:, None]).T
+    return Cochain(cocycles[0].base, 2, fusion.codomain, values)
 
 
 def whitney_obstruction(
@@ -256,7 +260,7 @@ def whitney_obstruction(
     ) else sections)
     summed = _summed_obstruction(cocycles, exts, fusion, sections)
     result = obstruction_class(product_cocycle(cocycles), fe.fused, fe.section)
-    if result.cochain.values != summed.values:
+    if not np.array_equal(result.cochain.array, summed.array):
         raise InternalCheckError(
             "fused obstruction cochain differs from the fused sum of component cochains"
         )
@@ -302,10 +306,9 @@ def additivity_check(
         use_section = fe.section
     fused_q = obstruction_cocycle(product_cocycle(cocycles), fe.fused, use_section)
     summed = _summed_obstruction(cocycles, exts, fusion, sections)
+    triangles = cocycles[0].base.triangles()
     mism = tuple(
-        tri
-        for tri, a, b in zip(cocycles[0].base.triangles(), fused_q.values, summed.values)
-        if a != b
+        triangles[i] for i in np.flatnonzero((fused_q.array != summed.array).any(axis=1))
     )
     return AdditivityReport(
         cochain_equal=not mism,

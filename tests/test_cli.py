@@ -1,9 +1,11 @@
 """Command line interface: exit codes, formats, and theorem re-checks."""
 
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +299,33 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "catalog"
+
+
+# The six README commands plus a composite-coefficient one.  Each golden
+# file is the machine output of the commit before the verdict path moved
+# to whole-array arithmetic, with the `elapsed` line taken out.
+GOLDEN = {
+    "catalog": ["catalog"],
+    "cohomology_torus7_p1_z2_basis": ["cohomology", "--builtin", "torus7", "-p", "1", "-k", "Z2", "--basis"],
+    "obstruction_rp2_6_mobius_brute": [
+        "obstruction", "--builtin", "rp2_6", "--cocycle", "mobius", "--extension", "z4_over_z2", "--brute-force",
+    ],
+    "whitney_rp2_6_mobius_hyperbolic": [
+        "whitney", "--builtin", "rp2_6", "--cocycle", "mobius", "--extension", "z4_over_z2", "--hyperbolic",
+    ],
+    "whitney_torus7_random_seed3": [
+        "whitney", "--builtin", "torus7", "--cocycle", "random", "--cocycle", "random",
+        "--extension", "z4_over_z2", "--extension", "q8_over_v4", "--seed", "3",
+    ],
+    "count_torus7_identity": ["count", "--builtin", "torus7", "--cocycle", "identity", "--extension", "z4_over_z2"],
+    "cohomology_rp2_6_p2_z4": ["cohomology", "--builtin", "rp2_6", "-p", "2", "-k", "Z4"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_machine_output_is_byte_identical_to_the_golden_file(capsys, name):
+    rc, out, err = run_cli(capsys, *GOLDEN[name], "--format", "machine")
+    assert rc == EXIT_OK and err == ""
+    text, n = re.subn(r'(?m)^  "elapsed": [^\n]*,\n', "", out)
+    assert n == 1
+    assert text == (Path(__file__).parent / "golden" / f"{name}.json").read_text()

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cechlift.coefgroup import AbelianGroup, Z2
@@ -54,6 +55,34 @@ def test_cochain_validation():
         Cochain(x, 1, Z2, ((0,), (1,)))
     with pytest.raises(ValueError):
         Cochain(x, 1, Z2, ((0,), (2,), (0,)))
+
+
+def test_cochain_rejects_bad_values_with_the_group_check_message():
+    x = builtin_complex("circle")
+    g = AbelianGroup((2, 4))
+    for values in ((0, 1, 0), ((0, 1), (1, 1), (1,)), ((0, 1), (1, 1, 0), (1, 0))):
+        with pytest.raises(ValueError):
+            Cochain(x, 1, g, values)
+    for bad in ((2, 0), (0, 4), (-1, 0), (0, 2**70)):
+        values = ((0, 1), bad, (1, 9))
+        with pytest.raises(ValueError) as err:
+            Cochain(x, 1, g, values)
+        assert str(err.value) == f"element {bad} out of range for factors (2, 4)"
+    with pytest.raises(ValueError):
+        Cochain(x, 1, g, np.array([[0, 1], [1, 4], [0, 0]]))
+
+
+def test_cochain_from_an_array_equals_the_tuple_one():
+    x = builtin_complex("torus7")
+    g = AbelianGroup((2, 4))
+    f = _random_cochain(random.Random(3), x, 1, g)
+    again = Cochain(x, 1, g, np.array(f.values, dtype=np.int64))
+    assert again == f and hash(again) == hash(f)
+    assert again.values == f.values
+    assert all(type(v) is int for row in again.values for v in row)
+    assert not again.array.flags.writeable
+    empty = Cochain(x, 1, AbelianGroup(()), ((),) * x.dim_count(1))
+    assert empty.values == ((),) * x.dim_count(1) and empty.array.shape == (x.dim_count(1), 0)
 
 
 def test_cochain_arithmetic():

@@ -238,6 +238,15 @@ def test_sections():
         Section(ext, (1,) * ext.base.order)
 
 
+def test_section_rejects_out_of_range_values():
+    # -4 would alias 0 under negative indexing, which lies over 0.
+    ext = builtin_extension("z4_over_z2")
+    for bad in ((-4, 1), (0, -1), (4, 1), (0, 5), (0, 2**70)):
+        with pytest.raises(ValueError, match="out of range"):
+            Section(ext, bad)
+    assert Section(ext, (2, 3)).map == (2, 3)
+
+
 def test_quotient_by_central():
     z4z4, injections, _ = direct_product([cyclic_group(4), cyclic_group(4)])
     diag = sorted({z4z4.identity, z4z4.mul(injections[0](2), injections[1](2))})

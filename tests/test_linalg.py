@@ -10,6 +10,7 @@ from cechlift.cochain import coboundary_matrix
 from cechlift.linalg import (
     GfpFactor,
     GfpSpan,
+    Snf,
     factor_mod_p,
     invariant_factors,
     nullspace_mod_p,
@@ -140,6 +141,41 @@ def test_solve_mod_p_matches_dense_reference_on_coboundaries(label):
                 assert _same_solution(solve_mod_p(factor, b, p), ref)
                 if consistent:
                     assert ref is not None
+
+
+@pytest.mark.parametrize("p", (2, 3, 2**31 - 1))
+def test_factor_mod_p_matches_dense_reference_on_tall_systems(p):
+    # More rows than columns: the rank is reached well before the rows run
+    # out, which is where the factorization stops pivoting.
+    rng = random.Random(p + 1)
+    for k in range(200):
+        cols = rng.randrange(0, 6)
+        a, b = _random_system(rng, cols + rng.randrange(1, 9), cols, p, k % 2 == 0)
+        factor = factor_mod_p(a, p)
+        assert list(factor.pivots) == rref_mod_p(a, p)[1]
+        # T A is A's reduced row echelon form with zero rows from the rank on.
+        rank = len(factor.pivots)
+        ta = (factor.t.astype(object) @ (a.astype(object) % p)) % p
+        assert (ta[:rank] == rref_mod_p(a, p)[0][:rank]).all() and not ta[rank:].any()
+        assert _same_solution(solve_mod_p(factor, b, p), solve_mod_p_reference(a, b, p))
+
+
+@pytest.mark.parametrize("label", ("sd1(rp2_6)", "sd1(torus7)", "sd2(rp2_6)"))
+def test_factor_mod_p_of_vertex_coboundaries_matches_dense_reference(label):
+    x = complex_by_label(label)
+    mat = coboundary_matrix(x, 0)
+    rng = random.Random(label)
+    for p in (2, 3):
+        factor = factor_mod_p(mat, p)
+        for consistent in (True, False):
+            if consistent:
+                x0 = np.array([rng.randrange(p) for _ in range(mat.shape[1])], dtype=np.int64)
+                b = (mat @ x0) % p
+            else:
+                b = np.array([rng.randrange(p) for _ in range(mat.shape[0])], dtype=np.int64)
+            ref = solve_mod_p_reference(mat, b, p)
+            assert (ref is not None) == consistent
+            assert _same_solution(solve_mod_p(factor, b, p), ref)
 
 
 def test_solve_mod_p_checks_its_factor():
@@ -321,6 +357,52 @@ def test_solve_mod_m_matches_dense_reference_on_coboundaries(label):
                 [rng.randrange(m) for _ in range(mat.shape[0])],
             ):
                 assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
+
+
+@pytest.mark.parametrize("label", ("torus7", "klein", "sd1(rp2_6)"))
+def test_solve_mod_m_matches_dense_reference_for_large_moduli(label):
+    # With m = 2^31 - 2 the entries of U and V reduced mod m, and those of
+    # b and z, reach 2^31: without the limb split a row's products
+    # overflow int64.
+    x = complex_by_label(label)
+    rng = random.Random(label)
+    for degree in (0, 1):
+        mat = coboundary_matrix(x, degree)
+        snf = smith_normal_form(mat)
+        for m in (4, 6, 12, 2**31 - 2):
+            for _ in range(2):
+                x0 = np.array([rng.randrange(m) for _ in range(mat.shape[1])], dtype=object)
+                consistent = [int(v) % m for v in mat.astype(object) @ x0]
+                other = [rng.randrange(m) for _ in range(mat.shape[0])]
+                for b in (consistent, other, np.array(consistent, dtype=np.int64)):
+                    got = solve_mod_m(snf, b, m)
+                    assert got == solve_mod_m_reference(snf, list(b), m)
+                    assert got is None or all(type(v) is int for v in got)
+                seed = rng.randrange(1 << 30)
+                got = sample_kernel_mod_m(snf, m, random.Random(seed))
+                assert got == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
+
+
+def test_solve_mod_m_on_an_snf_built_by_hand():
+    # An Snf made from its fields alone gets its sparse views from the
+    # dense U and V, and entries beyond int64 stay exact.
+    big = 2**70
+    made = smith_normal_form(np.array([[2, 4], [6, 8], [1, 3]]))
+    snf = Snf(s=made.s, u=made.u, v=made.v, rows=made.rows, cols=made.cols)
+    for m in (4, 6, 12):
+        for b in ([0, 0, 0], [1, 2, 3], [2, 0, 1], [big, -big, 3]):
+            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
+            assert solve_mod_m(made, b, m) == solve_mod_m_reference(made, b, m)
+    # Entries congruent to U's mod 4, but far beyond int64.
+    u = tuple(tuple(x * (1 + 4 * big) for x in row) for row in made.u)
+    huge = Snf(s=made.s, u=u, v=made.v, rows=made.rows, cols=made.cols)
+    assert solve_mod_m(huge, [1, 2, 3], 4) == solve_mod_m_reference(huge, [1, 2, 3], 4)
+    # A row of U without nonzeros gives 0, not its neighbour's sum.
+    for zero_row in range(made.rows):
+        u = tuple((0,) * made.rows if i == zero_row else row for i, row in enumerate(made.u))
+        holed = Snf(s=made.s, u=u, v=made.v, rows=made.rows, cols=made.cols)
+        for b in ([1, 2, 3], [0, 0, 1], [3, 1, 1]):
+            assert solve_mod_m(holed, b, 4) == solve_mod_m_reference(holed, b, 4)
 
 
 def test_snf_views_leave_fields_and_equality_alone():

@@ -170,6 +170,23 @@ def test_lift_validation():
         Lift(s, ext, wrong_fiber)
 
 
+@pytest.mark.parametrize("name", BUILTIN_EXTENSIONS)
+def test_lift_rejects_out_of_range_values(name):
+    # v - order would alias v under negative indexing; v + order used to
+    # raise IndexError instead of ValueError.
+    x = builtin_complex("torus7")
+    ext = builtin_extension(name)
+    s = identity_cocycle(x, ext.base)
+    lift = construct_lift(s, ext)
+    order = ext.total.order
+    for i in (0, len(lift.values) - 1):
+        for shift in (-order, order, 2**70):
+            values = list(lift.values)
+            values[i] += shift
+            with pytest.raises(ValueError, match="out of range"):
+                Lift(s, ext, tuple(values))
+
+
 def test_brute_force_is_deterministic_and_valid():
     x = builtin_complex("circle")
     ext = builtin_extension("z4_over_z2")

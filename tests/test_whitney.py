@@ -5,6 +5,8 @@ import random
 import pytest
 
 from cechlift.coefgroup import AbelianGroup, AbelianHom, direct_sum, fusion_hom_mod2
+from cechlift import whitney
+from cechlift.cochain import Cochain
 from cechlift.errors import BaseMismatchError, InternalCheckError
 from cechlift.fingroup import (
     BUILTIN_EXTENSIONS,
@@ -287,3 +289,26 @@ def test_component_sections_must_match_their_extensions():
     secs = [canonical_section(q8), canonical_section(z4)]
     with pytest.raises(ValueError):
         whitney_obstruction((s, s), (z4, z4), fusion_hom_mod2(2), sections=secs)
+
+
+def test_summed_obstruction_is_exact_for_factors_near_two_to_the_31(monkeypatch):
+    # Kernels of extensions small enough to verify are small, so the
+    # component cochains here are stand-ins valued near 2^31, and so are the
+    # fusion's images: a triangle's products overflow int64 unless they are
+    # split into limbs.
+    p = 2**31 - 1
+    pieces = [AbelianGroup((p, p)), AbelianGroup((p,))]
+    domain, _, _ = direct_sum(pieces)
+    rng = random.Random(31)
+    near = lambda: p - 1 - rng.randrange(64)
+    fusion = AbelianHom(domain, AbelianGroup((p, p)), tuple((near(), near()) for _ in range(3)))
+    x = builtin_complex("torus7")
+    parts = [
+        Cochain(x, 2, g, tuple(tuple(near() for _ in g.factors) for _ in x.triangles()))
+        for g in pieces
+    ]
+    s1, s2 = identity_cocycle(x, cyclic_group(2)), identity_cocycle(x, cyclic_group(2))
+    monkeypatch.setattr(whitney, "obstruction_cocycle", lambda s, ext, section: parts[s is s2])
+    summed = whitney._summed_obstruction((s1, s2), (None, None), fusion, (None, None))
+    assert summed.group == fusion.codomain
+    assert summed.values == tuple(fusion(a + b) for a, b in zip(parts[0].values, parts[1].values))
