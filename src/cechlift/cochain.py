@@ -20,7 +20,11 @@ by the universal-coefficient rules Hom(Z, Zm) = Zm, Hom(Zd, Zm) =
 Ext(Zd, Zm) = Z_gcd(d,m).  When the coefficients are a sum of copies of
 one prime field the space additionally carries a dimension and a basis of
 cocycle representatives, and the two routes are checked against each
-other on every call.
+other on every call.  The basis is read off the GF(p) factor T of
+delta^{p-1} that the coboundary solves already cache: T projects C^p onto
+C^p / im delta^{p-1} by dropping the first rank rows, so one elimination
+of the projected nullspace of delta^p picks the representatives (see
+`_gfp_class_basis`).
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from .coefgroup import AbelianGroup, Z2, parse_group
 from .errors import CapExceededError
 from .linalg import (
     GfpFactor,
-    GfpSpan,
     Snf,
+    _matmul_mod,
+    _nullspace_parts,
+    _nullspace_rows,
     factor_mod_p,
     invariant_factors,
-    nullspace_mod_p,
-    rank_mod_p,
+    rref_mod_p,
     smith_normal_form,
     solve_mod_m,
     solve_mod_p,
@@ -277,21 +282,34 @@ def _integral_rank(complex_: SimplicialComplex, p: int) -> int:
 
 
 def _gfp_class_basis(complex_: SimplicialComplex, p: int, prime: int) -> list[np.ndarray]:
-    """Vectors in C^p representing a basis of H^p over GF(prime)."""
-    up = coboundary_matrix(complex_, p)
-    down = coboundary_matrix(complex_, p - 1)
-    span = GfpSpan(up.shape[1], prime)
-    for col in range(down.shape[1]):
-        span.insert(down[:, col])
-    image_rank = span.rank
-    reps = []
-    for vec in nullspace_mod_p(up, prime):
-        if span.insert(vec):
-            reps.append(vec % prime)
-    expected = up.shape[1] - rank_mod_p(up, prime) - image_rank
-    if len(reps) != expected:
+    """Vectors in C^p representing a basis of H^p over GF(prime).
+
+    The basis is the greedy one: of the nullspace vectors N_0, N_1, ... of
+    delta^p, in `nullspace_mod_p`'s order, N_k is kept when it is independent
+    of im delta^{p-1} and of the vectors kept before it.  It is read off the
+    factor T of delta^{p-1} that `is_coboundary` solves against.  T delta^{p-1}
+    is in reduced row echelon form with rank r, so its column space is the
+    vectors that vanish from row r on; T is invertible, so y lies in
+    im delta^{p-1} + span(S) exactly when (T y)[r:] lies in the span of the
+    (T s)[r:], s in S.  N_k is therefore kept exactly when column k of
+    W = T[r:] N^T mod prime is independent of the columns before it, that is
+    when k is a pivot column of W's reduced form.  An incremental span
+    tracker fed the columns of delta^{p-1} and then N_0, N_1, ... keeps the
+    same vectors: both choices are "independent of everything before it".
+    N^T is the identity on delta^p's free columns and `_nullspace_parts`'s q
+    on its pivot columns, so W is formed without N; on the top degree delta^p has no
+    rows, N is the identity and W is T[r:] itself.
+    """
+    factor = _coboundary_factor(complex_, p - 1, prime)
+    image_rank = len(factor.pivots)
+    tail = factor.t[image_rank:]
+    pivots, free, q = _nullspace_parts(coboundary_matrix(complex_, p), prime)
+    w = (tail[:, free] + _matmul_mod(tail[:, pivots], q, prime)) % prime
+    kept = rref_mod_p(w, prime)[1]
+    # dim ker delta^p - rank delta^{p-1}: W has more rank when delta^p delta^{p-1} != 0.
+    if len(kept) != free.size - image_rank:
         raise AssertionError("cohomology basis extraction lost rank")
-    return reps
+    return list(_nullspace_rows(pivots, free[kept], q[:, kept], factor.rows))
 
 
 @lru_cache(maxsize=None)
