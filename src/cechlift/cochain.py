@@ -20,10 +20,11 @@ by the universal-coefficient rules Hom(Z, Zm) = Zm, Hom(Zd, Zm) =
 Ext(Zd, Zm) = Z_gcd(d,m).  When the coefficients are a sum of copies of
 one prime field the space additionally carries a dimension and a basis of
 cocycle representatives, and the two routes are checked against each
-other on every call.  The basis is read off the GF(p) factor T of
-delta^{p-1} that the coboundary solves already cache: T projects C^p onto
-C^p / im delta^{p-1} by dropping the first rank rows, so one elimination
-of the projected nullspace of delta^p picks the representatives (see
+other on every call.  The representatives are the nullspace vectors of
+delta^p that are independent of im delta^{p-1} and of the ones kept before
+them.  When a solve has already built the GF(p) factor T of delta^{p-1},
+T projects C^p onto C^p / im delta^{p-1} by dropping its first rank rows,
+and the choice is made there, without the columns of delta^{p-1} (see
 `_gfp_class_basis`).
 """
 
@@ -42,13 +43,13 @@ from .coefgroup import AbelianGroup, Z2, parse_group
 from .errors import CapExceededError
 from .linalg import (
     GfpFactor,
+    GfpSpan,
     Snf,
-    _matmul_mod,
-    _nullspace_parts,
-    _nullspace_rows,
+    _matvec_mod,
     factor_mod_p,
     invariant_factors,
-    rref_mod_p,
+    nullspace_mod_p,
+    rank_mod_p,
     smith_normal_form,
     solve_mod_m,
     solve_mod_p,
@@ -198,9 +199,20 @@ def _coboundary_snf(complex_: SimplicialComplex, p: int) -> Snf:
     return smith_normal_form(coboundary_matrix(complex_, p))
 
 
-@lru_cache(maxsize=None)
+_factors: dict[tuple[SimplicialComplex, int, int], GfpFactor] = {}
+
+
 def _coboundary_factor(complex_: SimplicialComplex, p: int, prime: int) -> GfpFactor:
-    return factor_mod_p(coboundary_matrix(complex_, p), prime)
+    """The GF(prime) factor of delta^p, built on the first call and kept until
+    `_coboundary_factor.cache_clear()`, like an lru_cache; `_gfp_class_basis`
+    looks in `_factors` for one without building it."""
+    key = (complex_, p, prime)
+    if key not in _factors:
+        _factors[key] = factor_mod_p(coboundary_matrix(complex_, p), prime)
+    return _factors[key]
+
+
+_coboundary_factor.cache_clear = _factors.clear
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -286,30 +298,46 @@ def _gfp_class_basis(complex_: SimplicialComplex, p: int, prime: int) -> list[np
 
     The basis is the greedy one: of the nullspace vectors N_0, N_1, ... of
     delta^p, in `nullspace_mod_p`'s order, N_k is kept when it is independent
-    of im delta^{p-1} and of the vectors kept before it.  It is read off the
-    factor T of delta^{p-1} that `is_coboundary` solves against.  T delta^{p-1}
-    is in reduced row echelon form with rank r, so its column space is the
-    vectors that vanish from row r on; T is invertible, so y lies in
-    im delta^{p-1} + span(S) exactly when (T y)[r:] lies in the span of the
-    (T s)[r:], s in S.  N_k is therefore kept exactly when column k of
-    W = T[r:] N^T mod prime is independent of the columns before it, that is
-    when k is a pivot column of W's reduced form.  An incremental span
-    tracker fed the columns of delta^{p-1} and then N_0, N_1, ... keeps the
-    same vectors: both choices are "independent of everything before it".
-    N^T is the identity on delta^p's free columns and `_nullspace_parts`'s q
-    on its pivot columns, so W is formed without N; on the top degree delta^p has no
-    rows, N is the identity and W is T[r:] itself.
+    of im delta^{p-1} and of the vectors kept before it.  A `GfpSpan` makes
+    that choice in one of two coordinate systems, with the same outcome.
+
+    When a solve has built the factor T of delta^{p-1} (a verdict solves
+    against delta^1 before it asks for H^2), the span works in the quotient
+    C^p / im delta^{p-1}.  T delta^{p-1} is in reduced row echelon form with
+    rank r, so its column space is the vectors that vanish from row r on;
+    T is invertible, so y lies in im delta^{p-1} + span(S) exactly when
+    (T y)[r:] lies in the span of the (T s)[r:], s in S.  The span is fed
+    the projections (T N_k)[r:], of length #p-simplices - r, and never the
+    columns of delta^{p-1}; once it fills the quotient no later vector can
+    be kept.  In the top degree the quotient is H^p itself, so a few
+    inserts settle the basis.
+
+    Otherwise T, #p-simplices squared entries, is not built for the basis
+    alone: the span works in C^p and is first fed the columns of
+    delta^{p-1}.
     """
-    factor = _coboundary_factor(complex_, p - 1, prime)
-    image_rank = len(factor.pivots)
-    tail = factor.t[image_rank:]
-    pivots, free, q = _nullspace_parts(coboundary_matrix(complex_, p), prime)
-    w = (tail[:, free] + _matmul_mod(tail[:, pivots], q, prime)) % prime
-    kept = rref_mod_p(w, prime)[1]
-    # dim ker delta^p - rank delta^{p-1}: W has more rank when delta^p delta^{p-1} != 0.
-    if len(kept) != free.size - image_rank:
+    up = coboundary_matrix(complex_, p)
+    factor = _factors.get((complex_, p - 1, prime))
+    if factor is None:
+        span = GfpSpan(up.shape[1], prime)
+        down = coboundary_matrix(complex_, p - 1)
+        for col in range(down.shape[1]):
+            span.insert(down[:, col])
+        image_rank = span.rank
+    else:
+        image_rank = len(factor.pivots)
+        tail = factor.t[image_rank:]
+        span = GfpSpan(tail.shape[0], prime)
+    reps = []
+    for vec in nullspace_mod_p(up, prime):
+        if span.rank == span.dim:
+            break
+        if span.insert(vec if factor is None else _matvec_mod(tail, vec, prime)):
+            reps.append(vec % prime)
+    expected = up.shape[1] - rank_mod_p(up, prime) - image_rank
+    if len(reps) != expected:
         raise AssertionError("cohomology basis extraction lost rank")
-    return list(_nullspace_rows(pivots, free[kept], q[:, kept], factor.rows))
+    return reps
 
 
 @lru_cache(maxsize=None)

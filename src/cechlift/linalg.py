@@ -11,11 +11,9 @@ b costs one product T b.  Callers
 that ask many questions of one matrix keep the factor (cochain caches one
 per complex, degree and prime), and the witness is the one a fresh
 elimination of [A | b] returns; `factor_mod_p` gives the argument.  The
-cohomology basis is read off the same factor, so `GfpSpan` and
-`nullspace_mod_p` are no longer on any library path: they stay as public
-helpers, and `_nullspace_parts` gives the nullspace vectors to the
-library without building them.  `_matmul_mod` multiplies mod p in
-float64 while every sum stays below 2^53, and in 16-bit limbs past that.
+cohomology basis uses the same factor when a solve has built it: `GfpSpan`
+then picks the representatives among the nullspace vectors of the next
+coboundary in the coordinates T gives to the quotient by the image.
 
 The Smith normal form works on plain Python ints, so entries can never
 overflow.  It is a sparse replay of the dense elimination kept in the
@@ -196,54 +194,27 @@ def solve_mod_p(a: Union[GfpFactor, np.ndarray], b, p: int) -> Optional[np.ndarr
     return x
 
 
-def _nullspace_parts(a, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pivot columns, free columns, q) of the reduced form R of `a` mod p,
-    with q = -R[:rank, free] mod p.
-
-    The k-th vector of `nullspace_mod_p` is 1 at free[k], q[i, k] at the i-th
-    pivot column, and 0 elsewhere.
-    """
+def nullspace_mod_p(a, p: int) -> list[np.ndarray]:
+    """Basis of the right nullspace of `a` mod prime p, one vector per free
+    column of its reduced form, in column order: 1 at the free column and
+    -R[i, free] at the i-th pivot column of the reduced form R."""
     m = _as_matrix(a)
     rref, pivots = rref_mod_p(m, p)
     free = np.ones(m.shape[1], dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    return np.array(pivots, dtype=np.intp), free, -rref[: len(pivots), free] % p
-
-
-def _nullspace_rows(pivots: np.ndarray, free: np.ndarray, q: np.ndarray, cols: int) -> np.ndarray:
-    """The nullspace vectors that `_nullspace_parts` describes, as the rows of one array."""
-    rows = np.zeros((free.size, cols), dtype=np.int64)
-    rows[np.arange(free.size), free] = 1
-    rows[:, pivots] = q.T
-    return rows
-
-
-def nullspace_mod_p(a, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace of `a` mod prime p, one vector per free
-    column of its reduced form, in column order."""
-    pivots, free, q = _nullspace_parts(a, p)
-    return list(_nullspace_rows(pivots, free, q, pivots.size + free.size))
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exact, for entries of a and b in 0..p-1.
-
-    Every partial sum is a non-negative integer at most (p - 1)^2 times the
-    inner dimension, so while that is below 2^53 a float64 product (BLAS,
-    far faster than numpy's int64 loop) is exact in any summation order;
-    past it, the 16-bit limbs of `_matvec_mod`.
-    """
-    if (p - 1) ** 2 * a.shape[1] < 2**53:
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        np.remainder(out, p, out=out)
-        return out
-    return _matvec_mod(a, b, p)
+    q = rref[: len(pivots)][:, free]
+    del rref  # before the basis is allocated, to keep the peak down
+    np.negative(q, out=q)
+    np.remainder(q, p, out=q)
+    basis = np.zeros((free.size, m.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = q.T
+    return list(basis)
 
 
 class GfpSpan:
-    """Incremental span tracker over GF(p).  No library path uses it; the
-    cohomology basis comes from the cached factor instead."""
+    """Incremental span tracker over GF(p), used to pick coset representatives."""
 
     def __init__(self, dim: int, p: int):
         self.dim = dim

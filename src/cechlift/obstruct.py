@@ -289,8 +289,9 @@ def obstruction_class(
     """
     section = _check_instance(s, ext, section)
     q = obstruction_cocycle(s, ext, section)
-    space = cohomology(s.base, 2, ext.kernel)
     witness = is_coboundary(q)
+    # After the solve: for a prime kernel, the basis of H^2 reuses its factor.
+    space = cohomology(s.base, 2, ext.kernel)
     lift = None
     if witness is not None:
         lift = _lift_from_correction(s, ext, section, witness)

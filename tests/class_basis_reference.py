@@ -1,13 +1,12 @@
 """Reference cohomology basis: the GfpSpan construction, kept frozen.
 
-`gfp_class_basis_reference(up, down, prime)` is the construction the
-library used before it read the basis off the cached GF(p) factor of the
-lower coboundary: insert every column of delta^{p-1} into an incremental
-span tracker, then insert the nullspace vectors of delta^p in order and
-keep each one the tracker finds independent.  `nullspace_reference` is
-the per-entry loop the nullspace used to be built with.  cechlift.linalg
-promises the same vectors, in the same order.  This module does not
-import cechlift.
+`gfp_class_basis_reference(up, down, prime)` inserts every column of
+delta^{p-1} into an incremental span tracker, then inserts the nullspace
+vectors of delta^p in order and keeps each one the tracker finds
+independent.  `nullspace_reference` is the per-entry loop the nullspace
+used to be built with.  cechlift promises the same vectors, in the same
+order, whether or not it has the GF(p) factor of delta^{p-1} at hand.
+This module does not import cechlift.
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
-"""The GF(p) cohomology basis and nullspace against the frozen span-tracker construction."""
+"""The GF(p) cohomology basis and nullspace against the frozen span-tracker
+construction, with and without the cached factor of the lower coboundary."""
 
 import random
 
@@ -7,20 +8,29 @@ import pytest
 
 from cechlift import cochain
 from cechlift.coefgroup import AbelianGroup
-from cechlift.cochain import _gfp_class_basis, coboundary_matrix, cohomology
-from cechlift.linalg import _matmul_mod, nullspace_mod_p
+from cechlift.cochain import _coboundary_factor, _gfp_class_basis, coboundary_matrix, cohomology
+from cechlift.linalg import nullspace_mod_p
 from cechlift.nerve import BUILTIN_COMPLEXES, build_complex, builtin_complex
 from class_basis_reference import gfp_class_basis_reference, nullspace_reference
 from subdivision import complex_by_label
 
 
+def _both_ways(x, p, prime):
+    """_gfp_class_basis without, then with, the factor of delta^{p-1} cached."""
+    _coboundary_factor.cache_clear()
+    in_chains = _gfp_class_basis(x, p, prime)
+    _coboundary_factor(x, p - 1, prime)
+    in_quotient = _gfp_class_basis(x, p, prime)
+    return in_chains, in_quotient
+
+
 def _assert_same_basis(x, p, prime):
     want, _ = gfp_class_basis_reference(coboundary_matrix(x, p), coboundary_matrix(x, p - 1), prime)
-    got = _gfp_class_basis(x, p, prime)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == np.int64
-        assert np.array_equal(g, w)
+    for got in _both_ways(x, p, prime):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
     space = cohomology(x, p, AbelianGroup((prime,)))
     assert [c.array[:, 0].tolist() for c in space.basis] == [w.tolist() for w in want]
 
@@ -41,8 +51,7 @@ def test_class_basis_matches_span_tracker_on_subdivisions(label, prime):
 
 
 def test_class_basis_with_a_prime_near_the_order_cap():
-    # W goes through 16-bit limbs here: float64 products of entries near
-    # 2^31 are not exact.
+    # The projections T N_k go through 16-bit limbs here.
     prime = 2**31 - 1
     x = build_complex(builtin_complex("klein").facets)
     for p in (1, 2):
@@ -54,7 +63,7 @@ def test_class_basis_with_a_prime_near_the_order_cap():
 
 def test_class_basis_check_can_fail(monkeypatch):
     # delta^1 with an extra row that reads one edge no longer kills the
-    # coboundaries of 0-cochains, so W has more rank than ker - image.
+    # coboundaries of 0-cochains, so more vectors are kept than ker - image.
     x = build_complex(builtin_complex("torus7").facets)
     true_matrix = cochain.coboundary_matrix
 
@@ -67,6 +76,10 @@ def test_class_basis_check_can_fail(monkeypatch):
         return np.vstack([mat, row])
 
     monkeypatch.setattr(cochain, "coboundary_matrix", corrupted)
+    _coboundary_factor.cache_clear()
+    with pytest.raises(AssertionError, match="lost rank"):
+        _gfp_class_basis(x, 1, 2)
+    _coboundary_factor(x, 0, 2)
     with pytest.raises(AssertionError, match="lost rank"):
         _gfp_class_basis(x, 1, 2)
 
@@ -87,14 +100,3 @@ def test_nullspace_matches_the_loop():
                 assert g.dtype == np.int64
                 assert np.array_equal(g, w)
 
-
-def test_matmul_mod_is_exact():
-    rng = random.Random(12)
-    # Float64 for the first two, 16-bit limbs for the last.
-    for p, inner in ((2, 700), (65521, 300), (2**31 - 1, 40)):
-        a = np.array([[rng.randrange(p) for _ in range(inner)] for _ in range(5)], dtype=np.int64)
-        b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(inner)], dtype=np.int64)
-        want = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(inner)) % p for j in range(4)] for i in range(5)]
-        got = _matmul_mod(a, b, p)
-        assert got.dtype == np.int64
-        assert got.tolist() == want
