@@ -9,7 +9,7 @@ import pytest
 from cechlift import cochain
 from cechlift.coefgroup import AbelianGroup
 from cechlift.cochain import _coboundary_factor, _gfp_class_basis, coboundary_matrix, cohomology
-from cechlift.linalg import nullspace_mod_p
+from cechlift.linalg import _matvec_mod, nullspace_mod_p
 from cechlift.nerve import BUILTIN_COMPLEXES, build_complex, builtin_complex
 from class_basis_reference import gfp_class_basis_reference, nullspace_reference
 from subdivision import complex_by_label
@@ -60,6 +60,17 @@ def test_class_basis_with_a_prime_near_the_order_cap():
     assert space.invariant_factors == (prime, prime)
     assert space.dimension == 2
 
+
+
+def test_projections_are_exact_near_the_order_cap():
+    # The projections T N_k are _matvec_mod products; in plain int64 these overflow.
+    rng = random.Random(12)
+    prime = 2**31 - 1
+    t = np.array([[rng.randrange(prime) for _ in range(40)] for _ in range(5)], dtype=np.int64)
+    v = np.array([rng.randrange(prime) for _ in range(40)], dtype=np.int64)
+    want = [sum(int(t[i, k]) * int(v[k]) for k in range(40)) % prime for i in range(5)]
+    assert (t @ v % prime).tolist() != want
+    assert _matvec_mod(t, v, prime).tolist() == want
 
 def test_class_basis_check_can_fail(monkeypatch):
     # delta^1 with an extra row that reads one edge no longer kills the
