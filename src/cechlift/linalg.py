@@ -20,13 +20,12 @@ overflow.  It is a sparse replay of the dense elimination kept in the
 tests as the reference: S rows and U rows are dicts of nonzeros, V is
 kept by columns, rows and columns move through position tables, and a
 column-to-rows index lets each step touch only nonzero entries.  The
-operations and their order are those of the dense elimination, so S, U
-and V are identical to it, entry for entry.  Solves and kernel samples
-against an `Snf` multiply by U and V in compressed-row form: one index
-array of the nonzeros per `Snf` (taken from the sparse rows when
-`smith_normal_form` built it), the values reduced mod m once per modulus
-as Python ints, and each product one gather and one `np.add.reduceat`
-over 16-bit limbs, so it is exact in int64 for m up to 2^31.
+operations and their order are the reference's, so S, U and V equal its
+entry for entry.  An `Snf` stores them once, as S's diagonal and the
+nonzeros of U and V by rows (CSR); the dense S, U and V are views built
+on first read, which only tests do.  Solves and kernel samples reduce
+those values mod m once per modulus, and each product is one gather and
+one `np.add.reduceat` over 16-bit limbs, exact in int64 for m up to 2^31.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -252,49 +251,11 @@ class GfpSpan:
 # ------------------------------------------------------ Smith normal form ----
 
 
-@dataclass(frozen=True)
-class Snf:
-    """S = U A V with U, V unimodular; S diagonal with divisibility down the diagonal."""
-
-    s: tuple[tuple[int, ...], ...]
-    u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
-    rows: int
-    cols: int
-
-    def diagonal(self) -> list[int]:
-        return [self.s[i][i] for i in range(min(self.rows, self.cols))]
-
-    def torsion(self) -> list[int]:
-        return [d for d in self.diagonal() if d > 1]
-
-    # Solver data, built on first use (smith_normal_form fills in the CSR
-    # forms from its sparse rows).  None of it is a field, so equality and
-    # hashing see only the fields above.
-
-    @cached_property
-    def _u_csr(self) -> "_Csr":
-        return _Csr.from_rows([{k: x for k, x in enumerate(row) if x} for row in self.u])
-
-    @cached_property
-    def _v_csr(self) -> "_Csr":
-        return _Csr.from_rows([{k: x for k, x in enumerate(row) if x} for row in self.v])
-
-    @cached_property
-    def _by_modulus(self) -> dict[int, "_SnfMod"]:
-        return {}
-
-    def _mod(self, m: int) -> "_SnfMod":
-        view = self._by_modulus.get(m)
-        if view is None:
-            view = self._by_modulus[m] = _SnfMod.build(self, m)
-        return view
-
-
 @dataclass(frozen=True, eq=False)
 class _Csr:
     """Nonzeros of a matrix by rows: the rows that have any, the offset of
-    each such row's first entry, and every entry's column and exact value."""
+    each such row's first entry, and every entry's column and exact value.
+    Two are equal when built from the same rows, entries in the same order."""
 
     hit_rows: np.ndarray
     starts: np.ndarray
@@ -312,6 +273,23 @@ class _Csr:
         starts = (np.cumsum(counts) - counts)[hit_rows]
         return cls(hit_rows=hit_rows, starts=starts, columns=columns, values=values, rows=len(rows))
 
+    def _key(self) -> tuple:
+        return (self.rows, self.hit_rows.tobytes(), self.starts.tobytes(), self.columns.tobytes(), self.values)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Csr) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def dense(self, width: int) -> tuple[tuple[int, ...], ...]:
+        """The matrix as a tuple of rows, each `width` entries long."""
+        out = [[0] * width for _ in range(self.rows)]
+        counts = np.diff(np.append(self.starts, self.columns.size))
+        for r, c, x in zip(np.repeat(self.hit_rows, counts).tolist(), self.columns.tolist(), self.values):
+            out[r][c] = x
+        return tuple(map(tuple, out))
+
     def matvec_mod(self, values_mod: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
         """This matrix times x mod m, given its values reduced mod m and x
         in 0..m-1.  Exact in int64 by the 16-bit limb split of _matvec_mod:
@@ -325,6 +303,59 @@ class _Csr:
             lo = np.add.reduceat(values_mod * (xs & 0xFFFF), self.starts) % m
             out[self.hit_rows] = (hi * 0x10000 + lo) % m
         return out
+
+
+@dataclass(frozen=True)
+class Snf:
+    """S = U A V with U, V unimodular; S diagonal with divisibility down the diagonal.
+
+    The fields are S's diagonal and U and V in CSR form, and equality and
+    hashing compare those.  The dense `s`, `u` and `v` are read-only views
+    built on first read, which no library path does.
+    """
+
+    rows: int
+    cols: int
+    diag: tuple[int, ...]
+    u_csr: _Csr
+    v_csr: _Csr
+
+    @classmethod
+    def from_rows(cls, diagonal: Sequence[int], u: Sequence[dict[int, int]], v: Sequence[dict[int, int]]) -> "Snf":
+        """From S's diagonal and one {column: nonzero entry} dict per row of
+        U (rows x rows) and of V (cols x cols)."""
+        rows, cols = len(u), len(v)
+        if len(diagonal) != min(rows, cols):
+            raise ValueError(f"a {rows} x {cols} Smith form has {min(rows, cols)} diagonal entries")
+        return cls(rows=rows, cols=cols, diag=tuple(diagonal), u_csr=_Csr.from_rows(u), v_csr=_Csr.from_rows(v))
+
+    def diagonal(self) -> list[int]:
+        return list(self.diag)
+
+    def torsion(self) -> list[int]:
+        return [d for d in self.diag if d > 1]
+
+    @cached_property
+    def s(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.diag[i] if i == j else 0 for j in range(self.cols)) for i in range(self.rows))
+
+    @cached_property
+    def u(self) -> tuple[tuple[int, ...], ...]:
+        return self.u_csr.dense(self.rows)
+
+    @cached_property
+    def v(self) -> tuple[tuple[int, ...], ...]:
+        return self.v_csr.dense(self.cols)
+
+    @cached_property
+    def _by_modulus(self) -> dict[int, "_SnfMod"]:
+        return {}
+
+    def _mod(self, m: int) -> "_SnfMod":
+        view = self._by_modulus.get(m)
+        if view is None:
+            view = self._by_modulus[m] = _SnfMod.build(self, m)
+        return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,18 +373,15 @@ class _SnfMod:
 
     @classmethod
     def build(cls, snf: Snf, m: int) -> "_SnfMod":
-        # Reduced as Python ints, so an entry of any size is exact.
-        def reduced(values):
-            return np.array([x % m for x in values], dtype=np.int64)
-
-        diag = [d % m for d in snf.diagonal()]
-        diag += [0] * (max(snf.rows, snf.cols) - len(diag))
+        # U's and V's values reduced as Python ints, so an entry of any size is exact.
+        u, v = ([x % m for x in csr.values] for csr in (snf.u_csr, snf.v_csr))
+        diag = [d % m for d in snf.diag] + [0] * (max(snf.rows, snf.cols) - len(snf.diag))
         g = [gcd(d, m) for d in diag]
         mm = [m // x for x in g]
         inv = [pow(d // x, -1, n) for d, x, n in zip(diag, g, mm)]
         return cls(
-            u=reduced(snf._u_csr.values),
-            v=reduced(snf._v_csr.values),
+            u=np.array(u, dtype=np.int64),
+            v=np.array(v, dtype=np.int64),
             g=np.array(g, dtype=np.int64),
             mm=np.array(mm, dtype=np.int64),
             inv=np.array(inv, dtype=np.int64),
@@ -488,34 +516,12 @@ def smith_normal_form(a) -> Snf:
             urow[r] = {k: -x for k, x in urow[r].items()}
         t += 1
 
-    def emit(vectors, order, n, index):
-        # Dense rows, one at a time; each sparse vector is dropped once
-        # written, so the sparse and dense forms are never both held whole.
-        out = []
-        for k in order:
-            line = [0] * n
-            for key, x in vectors[k].items():
-                line[index[key]] = x
-            vectors[k] = None
-            out.append(tuple(line))
-        return tuple(out)
-
-    ident = range(max(rows, cols))
-    u_csr = _Csr.from_rows([urow[r] for r in row_at])
-    u = emit(urow, row_at, rows, ident)
-    s = emit(srow, row_at, cols, colpos)
+    diag = [srow[row_at[t]].get(col_at[t], 0) for t in range(min(rows, cols))]
     vrow: list[dict] = [{} for _ in range(cols)]
     for j, c in enumerate(col_at):
         for i, x in vcol[c].items():
             vrow[i][j] = x
-        vcol[c] = None
-    v_csr = _Csr.from_rows(vrow)
-    v = emit(vrow, range(cols), cols, ident)
-    snf = Snf(s=s, u=u, v=v, rows=rows, cols=cols)
-    # The CSR forms from the sparse rows in hand, instead of a scan of the
-    # dense U and V on first use.
-    snf.__dict__.update(_u_csr=u_csr, _v_csr=v_csr)
-    return snf
+    return Snf.from_rows(diag, [urow[r] for r in row_at], vrow)
 
 
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
@@ -527,7 +533,7 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
         raise ValueError("right-hand side length does not match row count")
     mod = snf._mod(m)
     # % m before the cast keeps entries of any size exact.
-    ub = snf._u_csr.matvec_mod(mod.u, (np.asarray(b) % m).astype(np.int64), m)
+    ub = snf.u_csr.matvec_mod(mod.u, (np.asarray(b) % m).astype(np.int64), m)
     g, mm, inv = mod.g[: snf.rows], mod.mm[: snf.rows], mod.inv[: snf.rows]
     if (ub % g).any():
         return None
@@ -535,7 +541,7 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     z = np.zeros(snf.cols, dtype=np.int64)
     k = min(snf.rows, snf.cols)
     z[:k] = ((ub // g) * inv % mm)[:k]
-    return snf._v_csr.matvec_mod(mod.v, z, m).tolist()
+    return snf.v_csr.matvec_mod(mod.v, z, m).tolist()
 
 
 def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
@@ -544,7 +550,7 @@ def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
     # solutions of d z = 0 mod m are the multiples of m/g
     steps = zip(mod.g[: snf.cols].tolist(), mod.mm[: snf.cols].tolist())
     z = np.array([rng.randrange(g) * n for g, n in steps], dtype=np.int64)
-    return snf._v_csr.matvec_mod(mod.v, z, m).tolist()
+    return snf.v_csr.matvec_mod(mod.v, z, m).tolist()
 
 
 # ------------------------------------------------------- invariant factors ----
@@ -562,23 +568,16 @@ def _prime_power_split(n: int) -> dict[int, int]:
         out[n] = out.get(n, 0) + 1
     return out
 
+
 def invariant_factors(orders) -> tuple[int, ...]:
     """Collapse a multiset of cyclic orders into invariant-factor form d1 | d2 | ..."""
-    powers: dict[int, list[int]] = {}
+    powers: dict[int, list[int]] = {}  # prime -> its prime powers in the orders
     for n in orders:
         if n < 1:
             raise ValueError(f"cyclic order must be positive, got {n}")
         for p, e in _prime_power_split(n).items():
-            powers.setdefault(p, []).append(e)
-    for plist in powers.values():
-        plist.sort(reverse=True)
-    width = max((len(v) for v in powers.values()), default=0)
-    factors = []
-    for k in range(width):
-        f = 1
-        for p, plist in powers.items():
-            if k < len(plist):
-                f *= p ** plist[k]
-        factors.append(f)
-    factors = [f for f in factors if f > 1]
-    return tuple(sorted(factors))
+            powers.setdefault(p, []).append(p**e)
+    # The k-th largest factor is the product of each prime's k-th largest power.
+    width = max(map(len, powers.values()), default=0)
+    ranked = [sorted(q, reverse=True) + [1] * (width - len(q)) for q in powers.values()]
+    return tuple(sorted(prod(k) for k in zip(*ranked)))

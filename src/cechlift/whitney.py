@@ -145,11 +145,15 @@ def fused_extension(
 ) -> FusedExtension:
     """Quotient the product of the extensions by the embedded kernel of the
     fusion hom.  The fusion must be surjective from the direct sum of the
-    component kernels."""
+    component kernels.  Without sections, or when every section is its
+    extension's canonical one, the result is the cached default build."""
     exts = tuple(exts)
     if sections is None:
         return _fused_default(exts, fusion)
-    return _build_fused(exts, fusion, _component_sections(exts, sections))
+    sections = _component_sections(exts, sections)
+    if all(s.map == canonical_section(e).map for s, e in zip(sections, exts)):
+        return _fused_default(exts, fusion)
+    return _build_fused(exts, fusion, sections)
 
 
 @lru_cache(maxsize=None)
@@ -255,9 +259,7 @@ def whitney_obstruction(
     if len(cocycles) != len(exts):
         raise ValueError("need one extension per cocycle")
     sections = _component_sections(exts, sections)
-    fe = fused_extension(exts, fusion, None if all(
-        s.map == canonical_section(e).map for s, e in zip(sections, exts)
-    ) else sections)
+    fe = fused_extension(exts, fusion, sections)
     summed = _summed_obstruction(cocycles, exts, fusion, sections)
     result = obstruction_class(product_cocycle(cocycles), fe.fused, fe.section)
     if not np.array_equal(result.cochain.array, summed.array):
@@ -300,9 +302,7 @@ def additivity_check(
         fe = fused_extension(exts, fusion)
         use_section = fused_section
     else:
-        fe = fused_extension(exts, fusion, None if all(
-            s.map == canonical_section(e).map for s, e in zip(sections, exts)
-        ) else sections)
+        fe = fused_extension(exts, fusion, sections)
         use_section = fe.section
     fused_q = obstruction_cocycle(product_cocycle(cocycles), fe.fused, use_section)
     summed = _summed_obstruction(cocycles, exts, fusion, sections)

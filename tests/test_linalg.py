@@ -6,7 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cechlift.cochain import coboundary_matrix
+from cechlift.coefgroup import Z2, AbelianGroup
+from cechlift.cochain import Cochain, _coboundary_snf, coboundary, coboundary_matrix, cohomology, is_coboundary
+from cechlift.fingroup import cyclic_group
 from cechlift.linalg import (
     GfpFactor,
     GfpSpan,
@@ -21,6 +23,7 @@ from cechlift.linalg import (
     solve_mod_m,
     solve_mod_p,
 )
+from cechlift.obstruct import random_cocycle
 from gfp_reference import (
     sample_kernel_mod_m_reference,
     solve_mod_m_reference,
@@ -29,6 +32,8 @@ from gfp_reference import (
 from oracles import bareiss_det, exhaustive_solvable_mod, gf2_rank, int_matmul, naive_rank_mod_p
 from snf_reference import smith_normal_form_reference
 from subdivision import LABELS, complex_by_label
+
+Z4 = AbelianGroup((4,))
 
 
 def _random_matrix(rng, rows, cols, lo, hi):
@@ -383,26 +388,38 @@ def test_solve_mod_m_matches_dense_reference_for_large_moduli(label):
                 assert got == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
 
 
+def _sparse_rows(dense):
+    return [{k: x for k, x in enumerate(row) if x} for row in dense]
+
+
 def test_solve_mod_m_on_an_snf_built_by_hand():
-    # An Snf made from its fields alone gets its sparse views from the
-    # dense U and V, and entries beyond int64 stay exact.
+    # An Snf made by hand goes through the constructor smith_normal_form
+    # uses, from S's diagonal and sparse rows of U and V; entries beyond
+    # int64 stay exact.
     big = 2**70
     made = smith_normal_form(np.array([[2, 4], [6, 8], [1, 3]]))
-    snf = Snf(s=made.s, u=made.u, v=made.v, rows=made.rows, cols=made.cols)
+    u_rows, v_rows = _sparse_rows(made.u), _sparse_rows(made.v)
+    snf = Snf.from_rows(made.diagonal(), u_rows, v_rows)
+    assert (snf.s, snf.u, snf.v) == (made.s, made.u, made.v)
+    assert snf == Snf.from_rows(made.diagonal(), u_rows, v_rows)
     for m in (4, 6, 12):
         for b in ([0, 0, 0], [1, 2, 3], [2, 0, 1], [big, -big, 3]):
             assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
             assert solve_mod_m(made, b, m) == solve_mod_m_reference(made, b, m)
     # Entries congruent to U's mod 4, but far beyond int64.
-    u = tuple(tuple(x * (1 + 4 * big) for x in row) for row in made.u)
-    huge = Snf(s=made.s, u=u, v=made.v, rows=made.rows, cols=made.cols)
+    u = [{k: x * (1 + 4 * big) for k, x in row.items()} for row in u_rows]
+    huge = Snf.from_rows(made.diagonal(), u, v_rows)
+    assert huge.u == tuple(tuple(x * (1 + 4 * big) for x in row) for row in made.u)
     assert solve_mod_m(huge, [1, 2, 3], 4) == solve_mod_m_reference(huge, [1, 2, 3], 4)
     # A row of U without nonzeros gives 0, not its neighbour's sum.
     for zero_row in range(made.rows):
-        u = tuple((0,) * made.rows if i == zero_row else row for i, row in enumerate(made.u))
-        holed = Snf(s=made.s, u=u, v=made.v, rows=made.rows, cols=made.cols)
+        u = [{} if i == zero_row else row for i, row in enumerate(u_rows)]
+        holed = Snf.from_rows(made.diagonal(), u, v_rows)
+        assert holed.u[zero_row] == (0,) * made.rows
         for b in ([1, 2, 3], [0, 0, 1], [3, 1, 1]):
             assert solve_mod_m(holed, b, 4) == solve_mod_m_reference(holed, b, 4)
+    with pytest.raises(ValueError):
+        Snf.from_rows([1], u_rows, v_rows)
 
 
 def test_snf_views_leave_fields_and_equality_alone():
@@ -411,6 +428,24 @@ def test_snf_views_leave_fields_and_equality_alone():
     solve_mod_m(snf, [0, 0, 0], 4)
     assert snf == again and hash(snf) == hash(again)
     assert (snf.s, snf.u, snf.v) == (again.s, again.u, again.v)
+
+
+def test_library_never_builds_the_dense_snf_views():
+    x = complex_by_label("sd1(torus7)")
+    cohomology(x, 1, Z2)
+    cohomology(x, 2, Z2)
+    random_cocycle(x, cyclic_group(4), seed=5)
+    rng = random.Random(14)
+    f = coboundary(Cochain(x, 1, Z4, [(rng.randrange(4),) for _ in range(x.dim_count(1))]))
+    assert is_coboundary(f) is not None
+    misses = _coboundary_snf.cache_info().misses
+    snfs = [_coboundary_snf(x, degree) for degree in (0, 1, 2)]
+    assert _coboundary_snf.cache_info().misses == misses
+    for snf in snfs:
+        assert not {"s", "u", "v"} & vars(snf).keys()
+    want = smith_normal_form_reference(coboundary_matrix(x, 1))
+    assert snfs[1].u == want["u"]
+    assert "u" in vars(snfs[1])
 
 
 def test_sample_kernel_mod_m_lands_in_kernel_and_covers():

@@ -124,6 +124,20 @@ def test_fused_mixed_pair_has_order_sixteen():
     assert not fe.fused.total.is_abelian()
 
 
+def test_canonical_sections_give_the_cached_default_fused_extension():
+    z4 = builtin_extension("z4_over_z2")
+    q8 = builtin_extension("q8_over_v4")
+    mu = fusion_hom_mod2(2)
+    for exts in ((z4, z4), (z4, q8)):
+        default = fused_extension(exts, mu)
+        assert fused_extension(exts, mu, [canonical_section(e) for e in exts]) is default
+    rng = random.Random(3)
+    sections = [random_section(z4, rng), random_section(z4, rng)]
+    while all(s.map == canonical_section(z4).map for s in sections):
+        sections = [random_section(z4, rng), random_section(z4, rng)]
+    assert fused_extension((z4, z4), mu, sections) is not fused_extension((z4, z4), mu)
+
+
 def test_fusion_domain_and_surjectivity_are_checked():
     e4 = z4_kernel_extension()
     with pytest.raises(ValueError):
