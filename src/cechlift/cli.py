@@ -220,7 +220,7 @@ def _load_cocycle(
             raise BaseMismatchError("the mobius cocycle lives on the builtin rp2_6 complex")
         if not same_group(ext.base, s.group):
             raise BaseMismatchError("the mobius cocycle needs an extension with base Z2")
-        return BundleCocycle(complex_, ext.base, s.values), "mobius"
+        return BundleCocycle(complex_, ext.base, s.table), "mobius"
     if spec == "random":
         return random_cocycle(complex_, ext.base, seed), f"random:seed={seed}"
     if not os.path.exists(spec):

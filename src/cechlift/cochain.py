@@ -9,10 +9,11 @@ factors never interact, which lets every question split into one cyclic
 factor at a time: prime factors go through GF(p) elimination, composite
 ones through the integer Smith normal form.
 
-A cochain keeps its values twice: as a tuple of residue tuples, which
-fixes equality, hashing and the file and JSON forms, and as a read-only
-(simplices x rank) int64 array, range-tested once on construction, which
-the coboundary, the solves and the arithmetic use.
+A cochain stores its values once, as a read-only (simplices x rank) int64
+array, range-tested once on construction; the coboundary, the solves, the
+arithmetic, equality and hashing all use it.  `values`, the same values as
+a tuple of residue tuples of Python ints, is a view built on first read,
+for the file and JSON forms; no verdict reads it.
 
 Cohomology with arbitrary finite abelian coefficients is assembled from
 integral data (Betti numbers and torsion of the underlying chain complex)
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from pathlib import Path
 from typing import Optional, Sequence
@@ -90,30 +91,52 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Cochain:
     """A p-cochain: one coefficient-group element per canonical p-simplex.
 
     `values` may be given as a sequence of residue tuples or as an
-    (n x rank) integer array; it is stored as a tuple of tuples of ints, and
-    `array` holds the same values as a read-only int64 array.
+    (n x rank) integer array; `array` stores them as a read-only int64
+    array.  Equality and hashing compare base, degree, group and the array's
+    contents.
     """
 
     base: SimplicialComplex
     degree: int
     group: AbelianGroup
-    values: tuple[tuple[int, ...], ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def __init__(self, base: SimplicialComplex, degree: int, group: AbelianGroup, values):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "group", group)
+        self.__post_init__(values)
+
+    def __post_init__(self, values):
         expected = len(simplices_of_dim(self.base, self.degree))
-        if len(self.values) != expected:
+        if len(values) != expected:
             raise ValueError(
-                f"degree-{self.degree} cochain needs {expected} values, got {len(self.values)}"
+                f"degree-{self.degree} cochain needs {expected} values, got {len(values)}"
             )
-        arr = _checked_rows(self.values, self.group, expected)
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "values", tuple(map(tuple, arr.tolist())))
+        object.__setattr__(self, "array", _checked_rows(values, self.group, expected))
+
+    @cached_property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """The values as a tuple of residue tuples of Python ints."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        if type(other) is not Cochain:
+            return NotImplemented
+        return (
+            self.base == other.base
+            and self.degree == other.degree
+            and self.group == other.group
+            and np.array_equal(self.array, other.array)
+        )
+
+    def __hash__(self):
+        return hash((self.base, self.degree, self.group, self.array.tobytes()))
 
     def _compatible(self, other: "Cochain") -> None:
         if self.base is not other.base and self.base.simplices != other.base.simplices:
@@ -137,10 +160,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not self.array.any()
-
-    def value_on(self, simplex) -> tuple[int, ...]:
-        row = self.base.index_of(tuple(simplex))
-        return self.values[row]
 
 
 def _moduli(group: AbelianGroup) -> np.ndarray:
@@ -173,7 +192,7 @@ def _checked_rows(values, group: AbelianGroup, n: int) -> np.ndarray:
 
 def zero_cochain(complex_: SimplicialComplex, degree: int, group: AbelianGroup) -> Cochain:
     n = len(simplices_of_dim(complex_, degree))
-    return Cochain(complex_, degree, group, ((0,) * group.rank,) * n)
+    return Cochain(complex_, degree, group, np.zeros((n, group.rank), dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -459,6 +478,8 @@ def read_cochain(path, complex_: SimplicialComplex) -> Cochain:
         value = tuple(int(t) for t in toks[degree + 1 :])
         if simplex not in complex_:
             raise ValueError(f"simplex {simplex} from {path} is not in the complex")
+        if simplex in values:
+            raise ValueError(f"cochain file {path} gives simplex {simplex} a second time, in line {line!r}")
         values[simplex] = value
     missing = [s for s in simplices if s not in values]
     if missing:

@@ -684,9 +684,8 @@ def read_group(path) -> FiniteGroup:
             raise ValueError(f"bad table row {ln!r} in {path}")
         table.append(row)
     names = None
-    if len(lines) > n + 1:
-        tail = lines[n + 1]
-        if not tail.startswith("names:"):
+    for tail in lines[n + 1 :]:
+        if names is not None or not tail.startswith("names:"):
             raise ValueError(f"unexpected trailing line {tail!r} in {path}")
         names = tail.split()[1:]
     return make_group(table, names=names)
@@ -721,6 +720,8 @@ def read_extension(path) -> CentralExtension:
         if not ln or ln.startswith("#"):
             continue
         key, _, rest = ln.partition(" ")
+        if key in fields:
+            raise ValueError(f"repeated {key} line {ln!r} in {path}")
         fields[key] = rest.strip()
     for key in ("total", "base", "kernel", "projection", "embed"):
         if key not in fields:

@@ -14,14 +14,16 @@ the cocycle lifts to the total group.  When a cochain c with delta c = q
 exists, twisting the section-induced candidate by -c produces an actual
 lift, and the lift is verified before it is returned.
 
-The group arithmetic runs on whole arrays: edge values and sections are
-int64 arrays, and the defect of every triangle, the corrected lift and
-the triangle checks are numpy gathers over the Cayley table, through the
-index tables cached on the complex (`triangle_edges`), the group
-(`inverse_table`) and the extension (`projection_table`,
-`kernel_index_table`, `kernel_rows`, `embed_table`).  A failed check
-names the first failing edge or triangle in canonical order, as a loop
-over them would.
+The group arithmetic runs on whole arrays.  A BundleCocycle or Lift
+stores its edge values once, as a read-only int64 `table`; `values`, the
+same elements as a tuple of Python ints for scalar lookups and the file
+form, is built on first read.  The defect of every triangle, the
+corrected lift and the triangle checks are numpy gathers of those tables
+and the section's over the Cayley table, through the index tables cached
+on the complex (`triangle_edges`), the group (`inverse_table`) and the
+extension (`projection_table`, `kernel_index_table`, `kernel_rows`,
+`embed_table`).  A failed check names the first failing edge or triangle
+in canonical order, as a loop over them would.
 
 brute_force_lift searches every kernel twist of the section-induced
 candidate directly in the total group, with no linear algebra involved,
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -91,26 +94,30 @@ __all__ = [
 DEFAULT_BRUTE_CAP = 2 ** 24
 
 
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BundleCocycle:
-    """Transition data: one group element per canonical edge of the nerve."""
+    """Transition data: one group element per canonical edge of the nerve.
+
+    `values` may be any sequence of elements or an integer array."""
 
     base: SimplicialComplex
     group: FiniteGroup
-    values: tuple[int, ...]
-    # values as a read-only int64 array, for gathers; set on construction.
-    table: np.ndarray = field(init=False, repr=False)
+    # The edge values, stored once as a read-only int64 array, for gathers.
+    table: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        edges = self.base.edges()
-        if len(self.values) != len(edges):
-            raise ValueError(f"cocycle needs {len(edges)} edge values, got {len(self.values)}")
-        table = element_array(
-            self.values, self.group.order, lambda i: f"edge value {self.values[i]} is out of range"
-        )
+    def __init__(self, base: SimplicialComplex, group: FiniteGroup, values: Sequence[int]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "group", group)
+        edges = base.edges()
+        if len(values) != len(edges):
+            raise ValueError(f"cocycle needs {len(edges)} edge values, got {len(values)}")
+        table = element_array(values, group.order, lambda i: f"edge value {values[i]} is out of range")
         object.__setattr__(self, "table", table)
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """The edge values as a tuple of Python ints."""
+        return tuple(self.table.tolist())
 
     def value(self, a: int, b: int) -> int:
         """Transition element on the oriented edge (a, b); inverse below the diagonal."""
@@ -191,25 +198,31 @@ def random_cocycle(complex_: SimplicialComplex, group: FiniteGroup, seed: int) -
 # ------------------------------------------------------------------ lifts ----
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Lift:
     """Total-group edge values projecting to a bundle cocycle and satisfying
-    the lifted triangle condition; both are verified on construction."""
+    the lifted triangle condition; both are verified on construction.
+
+    `values` may be any sequence of elements or an integer array."""
 
     cocycle: BundleCocycle
     extension: CentralExtension
-    values: tuple[int, ...]
-    # values as a read-only int64 array, for gathers; set on construction.
-    table: np.ndarray = field(init=False, repr=False)
+    # The edge values, stored once as a read-only int64 array, for gathers.
+    table: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def __init__(self, cocycle: BundleCocycle, extension: CentralExtension, values: Sequence[int]):
+        object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "extension", extension)
+        self.__post_init__(values)
+
+    def __post_init__(self, values):
         ext = self.extension
         edges = self.cocycle.base.edges()
-        if len(self.values) != len(edges):
+        if len(values) != len(edges):
             raise ValueError("lift needs one value per edge")
         table = element_array(
-            self.values, ext.total.order,
-            lambda i: f"lift value {self.values[i]} over edge {edges[i]} is out of range",
+            values, ext.total.order,
+            lambda i: f"lift value {values[i]} over edge {edges[i]} is out of range",
         )
         object.__setattr__(self, "table", table)
         wrong = np.flatnonzero(ext.projection_table[table] != self.cocycle.table)
@@ -219,6 +232,11 @@ class Lift:
         bad = self.failing_triangle()
         if bad is not None:
             raise ValueError(f"lifted triangle condition fails at {bad}")
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """The edge values as a tuple of Python ints."""
+        return tuple(self.table.tolist())
 
     def value(self, a: int, b: int) -> int:
         if a == b:
@@ -311,7 +329,7 @@ def _lift_from_correction(
     twist = ext.embed_table[pack_rows(factors, -correction.array % np.array(factors, dtype=np.int64))]
     values = ext.total.table[section.table[s.table], twist]
     try:
-        return Lift(cocycle=s, extension=ext, values=tuple(values.tolist()))
+        return Lift(cocycle=s, extension=ext, values=values)
     except ValueError as err:
         raise InternalCheckError(f"corrected lift failed verification: {err}") from err
 
@@ -372,7 +390,7 @@ def brute_force_lift(
 
     if not search(0):
         return None
-    return Lift(cocycle=s, extension=ext, values=tuple(chosen))
+    return Lift(cocycle=s, extension=ext, values=chosen)
 
 
 def count_inequivalent_lifts(s: BundleCocycle, ext: CentralExtension) -> Optional[int]:
@@ -441,7 +459,7 @@ def read_cocycle(
     re-validate the triangle condition."""
     path = Path(path)
     refs: dict[str, str] = {}
-    edge_lines: list[tuple[int, int, str]] = []
+    edge_lines: list[tuple[int, int, str, str]] = []
     for ln in path.read_text().splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -452,7 +470,7 @@ def read_cocycle(
             continue
         if len(toks) != 3:
             raise ValueError(f"bad cocycle line {ln!r} in {path}")
-        edge_lines.append((int(toks[0]), int(toks[1]), toks[2]))
+        edge_lines.append((int(toks[0]), int(toks[1]), toks[2], ln))
 
     if complex_ is None:
         ref = refs.get("complex")
@@ -470,14 +488,20 @@ def read_cocycle(
 
     by_edge: dict[tuple[int, int], int] = {}
     name_to_idx = {n: i for i, n in enumerate(group.names)} if group.names else {}
-    for a, b, tok in edge_lines:
+    for a, b, tok, ln in edge_lines:
         try:
             v = int(tok)
         except ValueError:
             if tok not in name_to_idx:
                 raise ValueError(f"unknown group element {tok!r} in {path}") from None
             v = name_to_idx[tok]
-        by_edge[(min(a, b), max(a, b))] = v
+        edge = (min(a, b), max(a, b))
+        if edge in by_edge:
+            raise ValueError(f"cocycle file {path} gives edge {edge} a second time, in line {ln!r}")
+        # A line "a b v" gives the oriented edge (a, b) the value v, so for
+        # a > b the canonical edge (b, a) gets inv(v).  An out-of-range v
+        # is left for BundleCocycle to reject.
+        by_edge[edge] = group.inv(v) if a > b and 0 <= v < group.order else v
     edges = complex_.edges()
     missing = [e for e in edges if e not in by_edge]
     if missing:

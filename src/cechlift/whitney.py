@@ -81,7 +81,7 @@ def product_cocycle(cocycles: Sequence[BundleCocycle]) -> BundleCocycle:
     prod, _, _ = direct_product([s.group for s in cocycles])
     orders = [s.group.order for s in cocycles]
     values = pack_rows(orders, np.stack([s.table for s in cocycles], axis=1))
-    return BundleCocycle(first.base, prod, tuple(values.tolist()))
+    return BundleCocycle(first.base, prod, values)
 
 
 def product_extension(

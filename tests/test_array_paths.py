@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from cechlift.coefgroup import AbelianGroup
-from cechlift.cochain import is_coboundary
+from cechlift.coefgroup import AbelianGroup, AbelianHom, Z2, fusion_hom_mod2
+from cechlift.cochain import Cochain, coboundary, is_coboundary
 from cechlift.errors import KernelViolationError
 from cechlift.fingroup import (
     BUILTIN_EXTENSIONS,
@@ -29,6 +29,7 @@ from cechlift.obstruct import (
     random_cocycle,
     validate_cocycle,
 )
+from cechlift.whitney import additivity_check, hyperbolic_obstruction
 from subdivision import complex_by_label
 
 LABELS = (
@@ -176,3 +177,39 @@ def test_lift_with_one_corrupted_edge_names_the_first_failure(label):
             with pytest.raises(ValueError) as err:
                 Lift(lift.cocycle, ext, tuple(values))
             assert str(err.value) == f"lift value over edge ({a}, {b}) projects to the wrong element"
+
+
+def test_values_are_stored_once_as_arrays(monkeypatch):
+    """Cold and warm verdicts build no tuple of values: every Cochain,
+    BundleCocycle and Lift keeps only its array until `values` is read."""
+    built = []
+    for cls in (Cochain, BundleCocycle, Lift):
+        def record(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", record)
+    x = complex_by_label("sd1(torus7)")
+    z4, z8 = builtin_extension("z4_over_z2"), z8_over_z2()
+    add4 = AbelianHom(AbelianGroup((4, 4)), AbelianGroup((4,)), ((1,), (1,)))
+    rng = random.Random(12)
+    for _ in range(2):
+        s4 = random_cocycle(x, z4.base, 3)
+        s8 = random_cocycle(x, z8.base, 4)
+        obstruction_class(s4, z4)
+        obstruction_class(s8, z8)
+        hyperbolic_obstruction(s4, z4)
+        additivity_check((s4, s4), (z4, z4), fusion_hom_mod2(2))
+        additivity_check((s8, s8), (z8, z8), add4)
+        for group in (Z2, AbelianGroup((4,))):
+            rows = [tuple(rng.randrange(m) for m in group.factors) for _ in range(x.dim_count(1))]
+            assert is_coboundary(coboundary(Cochain(x, 1, group, rows))) is not None
+    assert {type(obj) for obj in built} == {Cochain, BundleCocycle, Lift}
+    for obj in built:
+        assert "values" not in vars(obj)
+    for obj in built:
+        if isinstance(obj, Cochain):
+            assert obj.values == tuple(map(tuple, obj.array.tolist()))
+        else:
+            assert obj.values == tuple(obj.table.tolist())
+        assert "values" in vars(obj)

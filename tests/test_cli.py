@@ -17,7 +17,7 @@ from cechlift.cli import (
     RunReport,
     main,
 )
-from cechlift.fingroup import builtin_extension
+from cechlift.fingroup import builtin_extension, write_extension
 from cechlift.nerve import builtin_complex, write_complex
 from cechlift.obstruct import random_cocycle, write_cocycle
 
@@ -219,6 +219,27 @@ def test_parse_failures_exit_two(tmp_path, capsys):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == EXIT_PARSE
         assert "error:" in err
+        assert out == ""
+
+
+def test_repeated_lines_in_input_files_exit_two(tmp_path, capsys):
+    x = builtin_complex("torus7")
+    ext = builtin_extension("z4_over_z2")
+    spath = tmp_path / "t.bcoc"
+    write_cocycle(spath, random_cocycle(x, ext.base, 11), complex_ref="builtin:torus7")
+    a, b, v = spath.read_text().splitlines()[3].split()
+    spath.write_text(spath.read_text() + f"{b} {a} {v}\n")
+    epath = tmp_path / "z4.ext"
+    write_extension(epath, ext)
+    epath.write_text(epath.read_text() + "embed 0 2\n")
+    cases = (
+        (("--cocycle", str(spath), "--extension", "z4_over_z2"), f"edge ({a}, {b}) a second time"),
+        (("--cocycle", "identity", "--extension", str(epath)), "repeated embed line"),
+    )
+    for argv, message in cases:
+        rc, out, err = run_cli(capsys, "obstruction", "--builtin", "torus7", *argv)
+        assert rc == EXIT_PARSE
+        assert message in err
         assert out == ""
 
 

@@ -334,6 +334,11 @@ def test_cochain_file_round_trip(tmp_path):
     assert g.values == f.values
     assert g.degree == 1
     assert g.group == f.group
+    text = path.read_text()
+    for again in ("0 1  0 0", "0 1  " + " ".join(map(str, f.values[0]))):
+        path.write_text(text + again + "\n")
+        with pytest.raises(ValueError, match=f"simplex \\(0, 1\\) a second time, in line '{again}'"):
+            read_cochain(path, x)
 
 
 def test_cochain_file_digest_guard(tmp_path):

@@ -298,6 +298,11 @@ def test_group_file_round_trip(tmp_path):
     back = read_group(path)
     assert same_group(q8, back)
     assert back.names == q8.names
+    text = path.read_text()
+    for extra in ("1 1", "garbage here", "names: " + " ".join(q8.names)):
+        path.write_text(text + extra + "\n")
+        with pytest.raises(ValueError, match=f"unexpected trailing line '{extra}'"):
+            read_group(path)
 
 
 def test_group_file_tamper_detection(tmp_path):
@@ -316,6 +321,11 @@ def test_extension_file_round_trip(tmp_path):
     write_extension(path, ext)
     back = read_extension(path)
     assert same_extension(ext, back)
+    text = path.read_text()
+    for line in text.splitlines()[3:]:  # the projection and embed lines
+        path.write_text(text + line + "\n")
+        with pytest.raises(ValueError, match=f"repeated {line.split()[0]} line '{line}'"):
+            read_extension(path)
 
 
 def test_extension_file_tamper_detection(tmp_path):
@@ -327,4 +337,8 @@ def test_extension_file_tamper_detection(tmp_path):
     assert tampered != text
     path.write_text(tampered)
     with pytest.raises(Exception):
+        read_extension(path)
+    # A second projection line that would repair the first is rejected too.
+    path.write_text(tampered + "projection 0 1 0 1\n")
+    with pytest.raises(ValueError, match="repeated projection line"):
         read_extension(path)

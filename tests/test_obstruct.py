@@ -282,3 +282,26 @@ def test_cocycle_file_rejects_bad_content(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_cocycle(path)
+    # A second line for one edge, in either orientation, agreeing or not.
+    for again in ("0 1 1", "0 1 0", "1 0 0", "1 0 1"):
+        path.write_text(text + again + "\n")
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) a second time"):
+            read_cocycle(path)
+
+
+def test_cocycle_file_reversed_line_carries_the_inverse(tmp_path):
+    x = builtin_complex("circle")
+    c3 = cyclic_group(3)
+    s = BundleCocycle(x, c3, (1, 2, 1))
+    path = tmp_path / "s.bcoc"
+    write_cocycle(path, s)
+    text = path.read_text()
+    assert "\n0 1 1\n" in text
+    # The oriented edge (1, 0) carries the inverse of s(0, 1).
+    path.write_text(text.replace("\n0 1 1\n", "\n1 0 2\n"))
+    back = read_cocycle(path)
+    assert back.values == s.values
+    assert (back.value(0, 1), back.value(1, 0)) == (1, 2)
+    path.write_text(text.replace("\n0 1 1\n", "\n1 0 1\n"))
+    back = read_cocycle(path)
+    assert (back.value(1, 0), back.value(0, 1)) == (1, 2)
