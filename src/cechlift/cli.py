@@ -181,15 +181,21 @@ def _render_value(lines: list, prefix: str, value) -> None:
 # ------------------------------------------------------------ input loading --
 
 
-def _load_complex(args) -> tuple[SimplicialComplex, str]:
-    if args.builtin is not None:
-        return builtin_complex(args.builtin), f"builtin:{args.builtin}"
+def _read_input(what: str, read, *args, **kwargs):
+    """read(*args, **kwargs); a domain error passes, any other error becomes
+    a CliInputError that starts with `what`."""
     try:
-        x = read_complex(args.complex)
+        return read(*args, **kwargs)
     except _DOMAIN_ERRORS:
         raise
     except Exception as exc:
-        raise CliInputError(f"cannot read complex file {args.complex}: {exc}") from exc
+        raise CliInputError(f"{what}: {exc}") from exc
+
+
+def _load_complex(args) -> tuple[SimplicialComplex, str]:
+    if args.builtin is not None:
+        return builtin_complex(args.builtin), f"builtin:{args.builtin}"
+    x = _read_input(f"cannot read complex file {args.complex}", read_complex, args.complex)
     return x, f"file:{args.complex}"
 
 
@@ -200,13 +206,7 @@ def _load_extension(spec: str) -> tuple[CentralExtension, str]:
         raise CliInputError(
             f"unknown extension {spec!r}: not one of {', '.join(BUILTIN_EXTENSIONS)} and not a file"
         )
-    try:
-        ext = read_extension(spec)
-    except _DOMAIN_ERRORS:
-        raise
-    except Exception as exc:
-        raise CliInputError(f"cannot read extension file {spec}: {exc}") from exc
-    return ext, f"file:{spec}"
+    return _read_input(f"cannot read extension file {spec}", read_extension, spec), f"file:{spec}"
 
 
 def _load_cocycle(
@@ -227,12 +227,7 @@ def _load_cocycle(
         raise CliInputError(
             f"unknown cocycle {spec!r}: not identity, mobius, random, or a file"
         )
-    try:
-        s = read_cocycle(spec, complex_=complex_, group=ext.base)
-    except _DOMAIN_ERRORS:
-        raise
-    except Exception as exc:
-        raise CliInputError(f"cannot read cocycle file {spec}: {exc}") from exc
+    s = _read_input(f"cannot read cocycle file {spec}", read_cocycle, spec, complex_=complex_, group=ext.base)
     return s, f"file:{spec}"
 
 
@@ -365,12 +360,7 @@ def cmd_catalog(args) -> RunReport:
 def cmd_cohomology(args) -> RunReport:
     t0 = time.perf_counter()
     x, cdesc = _load_complex(args)
-    try:
-        coeffs = parse_group(args.coefficients)
-    except _DOMAIN_ERRORS:
-        raise
-    except Exception as exc:
-        raise CliInputError(f"bad group literal {args.coefficients!r}: {exc}") from exc
+    coeffs = _read_input(f"bad group literal {args.coefficients!r}", parse_group, args.coefficients)
     space = cohomology(x, args.degree, coeffs)
     payload = {
         "degree": args.degree,
@@ -631,12 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         required=True,
         help="component extension (repeatable): builtin name or file path",
-    )
-    p.add_argument(
-        "--fusion",
-        choices=("mod2",),
-        default="mod2",
-        help="kernel fusion rule applied to the sum",
     )
     p.add_argument(
         "--hyperbolic",

@@ -6,6 +6,10 @@ capped at 256; everything bigger is out of scope here.  Extensions carry
 the projection, the abelian kernel and its embedding, and are verified
 end to end when built (and again when loaded from files).
 
+Each object is built and verified once: direct_product caches the product
+of each tuple of component groups, an extension keeps its canonical section
+and a section its table.
+
 Builtin extension catalog, all with kernel Z2:
 
     z4_over_z2   Z4 -> Z2, reduction mod 2; does not split
@@ -267,12 +271,20 @@ def dihedral_group_8() -> FiniteGroup:
     return make_group(table, names=names)
 
 
-def direct_product(groups: Sequence[FiniteGroup]) -> tuple[FiniteGroup, list["GroupHom"], list["GroupHom"]]:
+def direct_product(groups: Sequence[FiniteGroup]) -> tuple[FiniteGroup, tuple[GroupHom, ...], tuple[GroupHom, ...]]:
     """Componentwise product group, plus the injections and projections.
 
     Elements pack mixed-radix with the last factor varying fastest, matching
-    itertools.product over the component element ranges.
+    itertools.product over the component element ranges.  The same group
+    objects give back the same product and homomorphisms.
     """
+    return _direct_product(tuple(groups))
+
+
+# Keyed by the group objects (FiniteGroup hashes by identity), so that the
+# homomorphisms have the caller's own groups as domains and codomains.
+@lru_cache(maxsize=64)
+def _direct_product(groups: tuple[FiniteGroup, ...]):
     orders = [g.order for g in groups]
     total = 1
     for n in orders:
@@ -300,7 +312,7 @@ def direct_product(groups: Sequence[FiniteGroup]) -> tuple[FiniteGroup, list["Gr
             inj_map.append(index[t])
         injections.append(GroupHom(g, prod, tuple(inj_map)))
         projections.append(GroupHom(prod, g, tuple(t[i] for t in tuples)))
-    return prod, injections, projections
+    return prod, tuple(injections), tuple(projections)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,6 +414,12 @@ class CentralExtension:
         """Total element of each kernel index."""
         return _frozen(self.embed)
 
+    @cached_property
+    def _canonical_section(self) -> "Section":
+        choice = [min(self.fiber(b)) for b in range(self.base.order)]
+        choice[self.base.identity] = self.total.identity
+        return Section(self, tuple(choice))
+
 
 def _frozen(values: Sequence[int]) -> np.ndarray:
     arr = np.array(values, dtype=np.int64)
@@ -481,10 +499,10 @@ class Section:
     def __call__(self, b: int) -> int:
         return self.map[b]
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
-        """map as an int64 array, for gathers."""
-        return np.array(self.map, dtype=np.int64)
+        """map as a read-only int64 array, for gathers."""
+        return _frozen(self.map)
 
     def is_normalized(self) -> bool:
         ext = self.extension
@@ -492,10 +510,22 @@ class Section:
 
 
 def canonical_section(ext: CentralExtension) -> Section:
-    """Least total index in each fiber, except that the identity lifts to the identity."""
-    choice = [min(ext.fiber(b)) for b in range(ext.base.order)]
-    choice[ext.base.identity] = ext.total.identity
-    return Section(ext, tuple(choice))
+    """Least total index in each fiber, except that the identity lifts to the
+    identity.  Built once per extension and kept on it."""
+    return ext._canonical_section
+
+
+def _bind_section(ext: CentralExtension, section: Optional[Section]) -> Section:
+    """The section a verdict through `ext` uses: the canonical one for None,
+    the given one when it is bound to `ext`, and the same map re-bound to
+    `ext` when it belongs to a structurally equal extension."""
+    if section is None:
+        return canonical_section(ext)
+    if section.extension is ext:
+        return section
+    if same_extension(section.extension, ext):
+        return Section(ext, section.map)
+    raise ValueError("section belongs to a different extension")
 
 
 def random_section(ext: CentralExtension, rng, normalized: bool = True) -> Section:
@@ -632,7 +662,6 @@ def abelian_structure(group: FiniteGroup) -> tuple[AbelianGroup, list[tuple[int,
 BUILTIN_EXTENSIONS = ("z4_over_z2", "split_z2", "q8_over_v4", "d8_over_v4")
 
 
-@lru_cache(maxsize=None)
 def klein_four_group() -> FiniteGroup:
     prod, _, _ = direct_product([cyclic_group(2), cyclic_group(2)])
     return prod

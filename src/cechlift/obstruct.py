@@ -53,13 +53,12 @@ from .fingroup import (
     FiniteGroup,
     GroupHom,
     Section,
+    _bind_section,
     abelian_structure,
-    canonical_section,
     cyclic_group,
     element_array,
     pack_rows,
     read_group,
-    same_extension,
     same_group,
     write_group,
 )
@@ -262,13 +261,7 @@ class ObstructionResult:
 def _check_instance(s: BundleCocycle, ext: CentralExtension, section: Optional[Section]) -> Section:
     if not same_group(ext.base, s.group):
         raise ValueError("extension base group does not match the cocycle group")
-    if section is None:
-        return canonical_section(ext)
-    if section.extension is ext:
-        return section
-    if same_extension(section.extension, ext):
-        return Section(ext, section.map)
-    raise ValueError("section belongs to a different extension")
+    return _bind_section(ext, section)
 
 
 def obstruction_cocycle(s: BundleCocycle, ext: CentralExtension, section: Optional[Section] = None) -> Cochain:

@@ -18,6 +18,10 @@ itself the two component cochains coincide, their mod-2 sum is identically
 zero, and so a doubled cocycle always lifts; the number of inequivalent
 lifts is the order of H^1 of the nerve with Z2 coefficients.
 
+The fused groups do not depend on the sections: they are built once per
+(extensions, fusion), and a build with other component sections shares
+them.  The product cocycle's group is the fused extension's base.
+
 The fused sum is one product of the concatenated component cochains with
 the matrix of mu's generator images, split into 16-bit limbs so that it
 is exact for factors up to 2^31 - 1.
@@ -25,7 +29,8 @@ is exact for factors up to 2^31 - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -36,15 +41,15 @@ from .cochain import Cochain, classes_equal, coboundary_matrix
 from .errors import BaseMismatchError, InternalCheckError
 from .fingroup import (
     CentralExtension,
+    GroupHom,
     Section,
+    _bind_section,
     canonical_section,
     direct_product,
     make_extension,
     pack_rows,
     pack_tuple,
     quotient_by_central,
-    same_extension,
-    unpack_tuple,
 )
 from .linalg import _matvec_mod, rank_mod_p
 from .nerve import SimplicialComplex
@@ -93,37 +98,35 @@ def product_extension(
     if not exts:
         raise ValueError("need at least one extension")
     sections = _component_sections(exts, sections)
-    total, _, total_projs = direct_product([e.total for e in exts])
+    total, _, _ = direct_product([e.total for e in exts])
     base, _, _ = direct_product([e.base for e in exts])
+    kernel, _, _ = direct_sum([e.kernel for e in exts])
+    # Product and direct-sum elements enumerate as itertools.product of the
+    # components' elements, last factor fastest.
     total_orders = [e.total.order for e in exts]
     base_orders = [e.base.order for e in exts]
-
-    proj_map = []
-    for x in range(total.order):
-        parts = unpack_tuple(total_orders, x)
-        proj_map.append(pack_tuple(base_orders, [e.projection(p) for e, p in zip(exts, parts)]))
-
-    kernel, _, kernel_projs = direct_sum([e.kernel for e in exts])
-    embed = []
-    for k in kernel.elements():
-        parts = [proj(k) for proj in kernel_projs]
-        embed.append(pack_tuple(total_orders, [e.embed_element(p) for e, p in zip(exts, parts)]))
-
+    proj_map = [pack_tuple(base_orders, t) for t in itertools.product(*(e.projection.map for e in exts))]
+    embed = [pack_tuple(total_orders, t) for t in itertools.product(*(e.embed for e in exts))]
     ext = make_extension(total, base, proj_map, kernel, embed)
-    sect_map = []
-    for b in range(base.order):
-        parts = unpack_tuple(base_orders, b)
-        sect_map.append(pack_tuple(total_orders, [s(p) for s, p in zip(sections, parts)]))
-    return ext, Section(ext, tuple(sect_map))
+    return ext, _product_section(ext, sections)
+
+
+def _product_section(prod: CentralExtension, sections: Sequence[Section]) -> Section:
+    """The componentwise section of the product of the sections' extensions."""
+    orders = [s.extension.total.order for s in sections]
+    values = itertools.product(*(s.map for s in sections))
+    return Section(prod, tuple(pack_tuple(orders, t) for t in values))
 
 
 @dataclass(frozen=True, eq=False)
 class FusedExtension:
     """Product extension with its kernel collapsed along a fusion hom.
 
-    fused is the central extension actually used for lifting; section is
-    the one induced by pushing the componentwise section through the
-    quotient.  The product stage is kept for cross-checks.
+    fused is the central extension actually used for lifting, and coset_map
+    is the quotient map from the product's total group onto fused's;
+    section is the one induced by pushing the componentwise section
+    product_section through coset_map.  The product stage is kept for
+    cross-checks.
     """
 
     components: tuple[CentralExtension, ...]
@@ -131,6 +134,7 @@ class FusedExtension:
     product: CentralExtension
     product_section: Section
     fused: CentralExtension
+    coset_map: GroupHom
     section: Section
 
     @property
@@ -145,46 +149,24 @@ def fused_extension(
 ) -> FusedExtension:
     """Quotient the product of the extensions by the embedded kernel of the
     fusion hom.  The fusion must be surjective from the direct sum of the
-    component kernels.  Without sections, or when every section is its
-    extension's canonical one, the result is the cached default build."""
+    component kernels.  The groups are built once per extensions and fusion;
+    other sections than the canonical ones only replace the two sections."""
     exts = tuple(exts)
+    if sections is not None:
+        sections = _component_sections(exts, sections)
+        if all(s.map == canonical_section(e).map for s, e in zip(sections, exts)):
+            sections = None
+    fe = _fused_default(exts, fusion)
     if sections is None:
-        return _fused_default(exts, fusion)
-    sections = _component_sections(exts, sections)
-    if all(s.map == canonical_section(e).map for s, e in zip(sections, exts)):
-        return _fused_default(exts, fusion)
-    return _build_fused(exts, fusion, sections)
+        return fe
+    product_section = _product_section(fe.product, sections)
+    induced = Section(fe.fused, tuple(map(fe.coset_map, product_section.map)))
+    return replace(fe, product_section=product_section, section=induced)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _fused_default(exts: tuple[CentralExtension, ...], fusion: AbelianHom) -> FusedExtension:
-    return _build_fused(exts, fusion, _component_sections(exts, None))
-
-
-def _component_sections(
-    exts: Sequence[CentralExtension], sections: Optional[Sequence[Section]]
-) -> tuple[Section, ...]:
-    if sections is None:
-        return tuple(canonical_section(e) for e in exts)
-    sections = tuple(sections)
-    if len(sections) != len(exts):
-        raise ValueError("need one section per extension")
-    out = []
-    for e, s in zip(exts, sections):
-        if s.extension is e:
-            out.append(s)
-        elif same_extension(s.extension, e):
-            out.append(Section(e, s.map))
-        else:
-            raise ValueError("section does not belong to its extension")
-    return tuple(out)
-
-
-def _build_fused(
-    exts: tuple[CentralExtension, ...],
-    fusion: AbelianHom,
-    sections: tuple[Section, ...],
-) -> FusedExtension:
+    """The fused build with the canonical component sections."""
     kernel_sum, _, _ = direct_sum([e.kernel for e in exts])
     if fusion.domain != kernel_sum:
         raise ValueError(
@@ -194,16 +176,13 @@ def _build_fused(
     if not fusion.is_surjective():
         raise ValueError("fusion hom must be surjective")
 
-    prod_ext, prod_section = product_extension(exts, sections)
+    prod_ext, prod_section = product_extension(exts)
     collapsed = [prod_ext.embed_element(k) for k in fusion.kernel_elements()]
     quotient, to_quotient = quotient_by_central(prod_ext.total, collapsed)
 
-    reps: dict[int, int] = {}
-    for x in range(prod_ext.total.order):
-        cid = to_quotient(x)
-        if cid not in reps:
-            reps[cid] = x
-    proj_map = [prod_ext.projection(reps[cid]) for cid in range(quotient.order)]
+    proj_map = [0] * quotient.order
+    for x, cid in enumerate(to_quotient.map):
+        proj_map[cid] = prod_ext.projection(x)
 
     target = fusion.codomain
     embed = []
@@ -212,15 +191,24 @@ def _build_fused(
         embed.append(to_quotient(prod_ext.embed_element(preimage)))
 
     fused = make_extension(quotient, prod_ext.base, proj_map, target, embed)
-    induced = Section(fused, tuple(to_quotient(prod_section(b)) for b in range(prod_ext.base.order)))
     return FusedExtension(
         components=exts,
         fusion=fusion,
         product=prod_ext,
         product_section=prod_section,
         fused=fused,
-        section=induced,
+        coset_map=to_quotient,
+        section=Section(fused, tuple(map(to_quotient, prod_section.map))),
     )
+
+
+def _component_sections(
+    exts: Sequence[CentralExtension], sections: Optional[Sequence[Section]]
+) -> tuple[Section, ...]:
+    sections = (None,) * len(exts) if sections is None else tuple(sections)
+    if len(sections) != len(exts):
+        raise ValueError("need one section per extension")
+    return tuple(map(_bind_section, exts, sections))
 
 
 # ------------------------------------------------------------- obstruction ----
@@ -296,14 +284,8 @@ def additivity_check(
     the cochains differ.
     """
     sections = _component_sections(exts, sections)
-    if fused_section is not None:
-        # The fused groups do not depend on the component sections, and the
-        # induced section is unused here, so the cached default build works.
-        fe = fused_extension(exts, fusion)
-        use_section = fused_section
-    else:
-        fe = fused_extension(exts, fusion, sections)
-        use_section = fe.section
+    fe = fused_extension(exts, fusion, sections)
+    use_section = fe.section if fused_section is None else fused_section
     fused_q = obstruction_cocycle(product_cocycle(cocycles), fe.fused, use_section)
     summed = _summed_obstruction(cocycles, exts, fusion, sections)
     triangles = cocycles[0].base.triangles()

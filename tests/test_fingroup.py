@@ -247,6 +247,16 @@ def test_section_rejects_out_of_range_values():
     assert Section(ext, (2, 3)).map == (2, 3)
 
 
+def test_section_table_is_built_once_and_read_only():
+    ext = builtin_extension("q8_over_v4")
+    sec = random_section(ext, random.Random(1), normalized=False)
+    table = sec.table
+    assert table is sec.table
+    assert not table.flags.writeable
+    assert table.tolist() == list(sec.map)
+    assert canonical_section(ext) is canonical_section(ext)
+
+
 def test_quotient_by_central():
     z4z4, injections, _ = direct_product([cyclic_group(4), cyclic_group(4)])
     diag = sorted({z4z4.identity, z4z4.mul(injections[0](2), injections[1](2))})

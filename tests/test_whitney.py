@@ -326,3 +326,43 @@ def test_summed_obstruction_is_exact_for_factors_near_two_to_the_31(monkeypatch)
     summed = whitney._summed_obstruction((s1, s2), (None, None), fusion, (None, None))
     assert summed.group == fusion.codomain
     assert summed.values == tuple(fusion(a + b) for a, b in zip(parts[0].values, parts[1].values))
+
+
+def test_warm_verdicts_build_no_group_or_extension(monkeypatch):
+    import cechlift.fingroup
+
+    z4, q8 = builtin_extension("z4_over_z2"), builtin_extension("q8_over_v4")
+    exts, mu = (z4, q8), fusion_hom_mod2(2)
+    default = fused_extension(exts, mu)
+    x = builtin_complex("torus7")
+    pairs = [(random_cocycle(x, z4.base, seed), random_cocycle(x, q8.base, seed)) for seed in range(3)]
+    hyperbolic_obstruction(pairs[0][0], z4)
+
+    calls = {"make_group": 0, "make_extension": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cechlift.fingroup, "make_group", counting("make_group", cechlift.fingroup.make_group))
+    for module in (cechlift.fingroup, whitney):
+        monkeypatch.setattr(module, "make_extension", counting("make_extension", module.make_extension))
+
+    rng = random.Random(5)
+    for s1, s2 in pairs:
+        hyperbolic_obstruction(s1, z4)
+        whitney_obstruction((s1, s2), exts, mu)
+        secs = [random_section(e, rng, normalized=False) for e in exts]
+        whitney_obstruction((s1, s2), exts, mu, sections=secs)
+        additivity_check((s1, s2), exts, mu, sections=secs)
+        additivity_check((s1, s2), exts, mu, fused_section=random_section(default.fused, rng))
+        other = fused_extension(exts, mu, secs)
+    assert calls == {"make_group": 0, "make_extension": 0}
+    assert other.fused is default.fused and other.product is default.product
+    assert other.coset_map is default.coset_map
+
+    s = pairs[1][0]
+    assert product_cocycle((s, s)).group is fused_extension((z4, z4), mu).fused.base
+    assert canonical_section(z4) is canonical_section(z4)
