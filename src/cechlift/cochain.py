@@ -46,7 +46,7 @@ from .linalg import (
     GfpFactor,
     GfpSpan,
     Snf,
-    _matvec_mod,
+    _is_prime,
     factor_mod_p,
     invariant_factors,
     nullspace_mod_p,
@@ -75,20 +75,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 2 ** 16
-
-
-# Bounded so that emptying the library's caches reaches it too; trial
-# division of 2^31 - 1 alone takes milliseconds.
-@lru_cache(maxsize=64)
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -345,13 +331,12 @@ def _gfp_class_basis(complex_: SimplicialComplex, p: int, prime: int) -> list[np
         image_rank = span.rank
     else:
         image_rank = len(factor.pivots)
-        tail = factor.t[image_rank:]
-        span = GfpSpan(tail.shape[0], prime)
+        span = GfpSpan(factor.rows - image_rank, prime)
     reps = []
     for vec in nullspace_mod_p(up, prime):
         if span.rank == span.dim:
             break
-        if span.insert(vec if factor is None else _matvec_mod(tail, vec, prime)):
+        if span.insert(vec if factor is None else factor._times(vec, image_rank)):
             reps.append(vec % prime)
     expected = up.shape[1] - rank_mod_p(up, prime) - image_rank
     if len(reps) != expected:

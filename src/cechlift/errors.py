@@ -17,12 +17,12 @@ __all__ = [
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration or search would exceed its configured cap."""
+    """An enumeration, search or elimination would exceed its configured cap."""
 
-    def __init__(self, needed: int, cap: int, what: str):
+    def __init__(self, needed: int, cap: int, what: str, unit: str = "candidates"):
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{what} needs {needed} candidates, cap is {cap}")
+        super().__init__(f"{what} needs {needed} {unit}, cap is {cap}")
 
 
 class NotAGroupError(ValueError):

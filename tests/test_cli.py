@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cechlift import linalg
 from cechlift.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -283,6 +284,18 @@ def test_semantic_failures_exit_three(capsys):
         assert rc == EXIT_SEMANTIC
         assert "error:" in err
         assert out == ""
+
+
+def test_smith_form_entry_bound_exits_three(capsys, monkeypatch, tmp_path):
+    # Coboundaries never come near the bound; lower it so this one passes
+    # it.  A complex read from a file is new, so nothing about it is cached.
+    cpath = tmp_path / "torus.cplx"
+    write_complex(cpath, builtin_complex("torus7"))
+    monkeypatch.setattr(linalg, "_SNF_MAX_BITS", 0)
+    rc, out, err = run_cli(capsys, "cohomology", "--complex", str(cpath), "-p", "1", "-k", "Z4")
+    assert rc == EXIT_SEMANTIC
+    assert "CapExceededError" in err and "bits" in err
+    assert out == ""
 
 
 def test_cap_env_var_is_honored(capsys, monkeypatch):

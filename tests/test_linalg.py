@@ -1,13 +1,16 @@
 """Modular elimination and integer Smith normal form against oracles."""
 
 import random
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 
+from cechlift import linalg
 from cechlift.coefgroup import Z2, AbelianGroup
 from cechlift.cochain import Cochain, _coboundary_snf, coboundary, coboundary_matrix, cohomology, is_coboundary
+from cechlift.errors import CapExceededError
 from cechlift.fingroup import cyclic_group
 from cechlift.linalg import (
     GfpFactor,
@@ -23,13 +26,22 @@ from cechlift.linalg import (
     solve_mod_m,
     solve_mod_p,
 )
+from cechlift.nerve import BUILTIN_COMPLEXES
 from cechlift.obstruct import random_cocycle
 from gfp_reference import (
+    rref_mod_p_reference,
     sample_kernel_mod_m_reference,
     solve_mod_m_reference,
     solve_mod_p_reference,
 )
-from oracles import bareiss_det, exhaustive_solvable_mod, gf2_rank, int_matmul, naive_rank_mod_p
+from oracles import (
+    bareiss_det,
+    coboundary_bitrows,
+    exhaustive_solvable_mod,
+    gf2_rank,
+    int_matmul,
+    naive_rank_mod_p,
+)
 from snf_reference import smith_normal_form_reference
 from subdivision import LABELS, complex_by_label
 
@@ -193,6 +205,132 @@ def test_solve_mod_p_checks_its_factor():
         solve_mod_p(factor, [1, 2, 0], 3)
 
 
+def test_gfp_entry_points_reject_inputs_they_would_get_wrong():
+    # p = 2^61 - 1 overflows int64 products, and gave a wrong RREF.
+    for call in (rref_mod_p, rank_mod_p, nullspace_mod_p, factor_mod_p):
+        with pytest.raises(ValueError):
+            call([[3, 5], [7, 11]], 2**61 - 1)
+    with pytest.raises(ValueError):
+        solve_mod_p([[3, 5], [7, 11]], [1, 2], 2**61 - 1)
+    # Composite and out-of-range moduli.
+    for p in (4, 1, 0, -3, 2**31):
+        with pytest.raises(ValueError):
+            rank_mod_p([[2, 0], [0, 2]], p)
+    # Non-integer entries and right-hand sides were truncated.
+    with pytest.raises(ValueError):
+        solve_mod_p([[1]], [0.5], 2)
+    for p in (2, 3):
+        with pytest.raises(ValueError):
+            rref_mod_p([[0.5, 1]], p)
+        with pytest.raises(ValueError):
+            factor_mod_p(np.array([[1.0, 2.0]]), p)
+        with pytest.raises(ValueError):
+            solve_mod_p(factor_mod_p([[1]], p), np.array([1.0]), p)
+    # What they accept: the largest prime, and Python ints of any size.
+    assert rref_mod_p([[3, 5], [7, 11]], 2**31 - 1)[0].tolist() == [[1, 0], [0, 1]]
+    huge = np.array([[2**70 + 1, 2**70], [3, 2**65]], dtype=object)
+    for p in (2, 3):
+        assert rref_mod_p(huge, p)[0].tolist() == rref_mod_p_reference(huge % p, p)[0].tolist()
+        assert solve_mod_p([[1]], [2**70 + 1], p).tolist() == [1 if p == 2 else 2]
+
+
+def test_solve_against_a_factor_does_not_check_the_prime_again(monkeypatch):
+    factor = factor_mod_p([[1, 1], [0, 1]], 2)
+
+    def boom(n):
+        raise AssertionError("primality checked again")
+
+    monkeypatch.setattr(linalg, "_is_prime", boom)
+    assert solve_mod_p(factor, [1, 1], 2).tolist() == [0, 1]
+
+
+def _gf2_matrices(rng):
+    """Random 0/1 and arbitrary-integer matrices of every shape class."""
+    for shape in ((0, 0), (0, 5), (5, 0), (3, 4), (4, 3)):
+        yield np.zeros(shape, dtype=np.int64)
+    for k in range(300):
+        rows, cols = rng.randrange(0, 9), rng.randrange(0, 9)
+        if k % 3 == 0:
+            rows, cols = cols + rng.randrange(1, 6), cols  # tall
+        elif k % 3 == 1:
+            rows, cols = rows, rows + rng.randrange(1, 6)  # wide
+        lo, hi = (0, 2) if k % 2 else (-40, 41)
+        yield _random_matrix(rng, rows, cols, lo, hi).reshape(rows, cols).astype(np.int64)
+
+
+def _coboundaries(labels):
+    for label in labels:
+        x = complex_by_label(label)
+        for degree in (0, 1, 2):
+            yield coboundary_matrix(x, degree)
+
+
+GF2_LABELS = (*BUILTIN_COMPLEXES, "sd1(rp2_6)", "sd1(torus7)", "sd1(klein)", "sd2(rp2_6)")
+
+
+def test_gf2_rref_matches_dense_reference():
+    rng = random.Random(21)
+    for a in (*_gf2_matrices(rng), *_coboundaries(GF2_LABELS)):
+        got, pivots = rref_mod_p(a, 2)
+        want, want_pivots = rref_mod_p_reference(a, 2)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert pivots == want_pivots
+        assert np.array_equal(got, want)
+
+
+def _check_gf2_factor(a, factor):
+    rows, cols = a.shape
+    want, pivots = rref_mod_p_reference(a, 2)
+    rank = len(pivots)
+    assert factor.pivots == tuple(pivots)
+    assert factor.t.shape == (rows, rows) and not factor.t.flags.writeable
+    ta = (factor.t @ (a % 2)) % 2
+    assert np.array_equal(ta[:rank], want[:rank]) and not ta[rank:].any()
+    assert gf2_rank(_bitmask_rows(factor.t)) == rows
+    assert factor.t_bits == tuple(_bitmask_rows(factor.t))
+
+
+def test_gf2_factor_matches_dense_reference():
+    rng = random.Random(22)
+    for a in (*_gf2_matrices(rng), *_coboundaries(GF2_LABELS)):
+        factor = factor_mod_p(a, 2)
+        _check_gf2_factor(a, factor)
+        for consistent in (True, False):
+            if consistent:
+                b = (a @ np.array([rng.randrange(2) for _ in range(a.shape[1])], dtype=np.int64)) % 2
+            else:
+                b = np.array([rng.randrange(-3, 4) for _ in range(a.shape[0])], dtype=np.int64)
+            ref = solve_mod_p_reference(a, b, 2)
+            assert ref is not None or not consistent
+            assert _same_solution(solve_mod_p(factor, b, 2), ref)
+            assert _same_solution(solve_mod_p(a, b, 2), ref)
+
+
+def test_gf2_factor_of_sd3_torus7_checked_with_bit_arithmetic():
+    x = complex_by_label("sd3(torus7)")
+    a = coboundary_matrix(x, 1)
+    bitrows, _ = coboundary_bitrows(x, 1)
+    factor = factor_mod_p(a, 2)
+    rank = len(factor.pivots)
+    assert rank == gf2_rank(bitrows)
+    assert gf2_rank(list(factor.t_bits)) == a.shape[0]
+    pivot_bits = sum(1 << c for c in factor.pivots)
+    for i, t_row in enumerate(factor.t_bits):
+        # Row i of T A: the XOR of A's rows that row i of T picks.
+        row, rest = 0, t_row
+        while rest:
+            low = rest & -rest
+            row ^= bitrows[low.bit_length() - 1]
+            rest ^= low
+        if i < rank:
+            # The RREF row of pivot i: that pivot's bit, no other pivot bit,
+            # nothing left of it.
+            c = factor.pivots[i]
+            assert row & pivot_bits == 1 << c and row & ((1 << c) - 1) == 0
+        else:
+            assert row == 0
+
+
 def test_nullspace_mod_p():
     rng = random.Random(6)
     for p in (2, 3, 5):
@@ -263,6 +401,25 @@ def test_smith_normal_form_known_case():
     snf = smith_normal_form([[0, 0], [0, 0]])
     assert snf.diagonal() == [0, 0]
     assert snf.torsion() == []
+
+
+def test_smith_normal_form_stops_on_coefficient_growth():
+    # Entries of this matrix grow past 700,000 bits within four pivots; the
+    # elimination ran for minutes before the bound on entry size.
+    a = [
+        [11, 15, -13, -19, -2],
+        [0, 20, -17, 8, 19],
+        [-2, 18, 12, 6, -10],
+        [-20, -11, -5, -15, 18],
+        [-10, 18, 9, -5, -8],
+        [19, 14, 10, -5, -11],
+        [12, 0, -18, 0, -3],
+    ]
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as info:
+        smith_normal_form(a)
+    assert time.perf_counter() - start < 2
+    assert info.value.cap == linalg._SNF_MAX_BITS < info.value.needed
 
 
 def _assert_same_as_reference(a):
