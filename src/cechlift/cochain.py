@@ -23,9 +23,9 @@ one prime field the space additionally carries a dimension and a basis of
 cocycle representatives, and the two routes are checked against each
 other on every call.  The representatives are the nullspace vectors of
 delta^p that are independent of im delta^{p-1} and of the ones kept before
-them.  When a solve has already built the GF(p) factor T of delta^{p-1},
-T projects C^p onto C^p / im delta^{p-1} by dropping its first rank rows,
-and the choice is made there, without the columns of delta^{p-1} (see
+them.  The GF(p) factor T of delta^{p-1}, cached per complex, degree and
+prime and shared with the solves, projects C^p onto C^p / im delta^{p-1}
+by dropping its first rank rows, and the choice is made there (see
 `_gfp_class_basis`).
 """
 
@@ -204,20 +204,9 @@ def _coboundary_snf(complex_: SimplicialComplex, p: int) -> Snf:
     return smith_normal_form(coboundary_matrix(complex_, p))
 
 
-_factors: dict[tuple[SimplicialComplex, int, int], GfpFactor] = {}
-
-
+@lru_cache(maxsize=None)
 def _coboundary_factor(complex_: SimplicialComplex, p: int, prime: int) -> GfpFactor:
-    """The GF(prime) factor of delta^p, built on the first call and kept until
-    `_coboundary_factor.cache_clear()`, like an lru_cache; `_gfp_class_basis`
-    looks in `_factors` for one without building it."""
-    key = (complex_, p, prime)
-    if key not in _factors:
-        _factors[key] = factor_mod_p(coboundary_matrix(complex_, p), prime)
-    return _factors[key]
-
-
-_coboundary_factor.cache_clear = _factors.clear
+    return factor_mod_p(coboundary_matrix(complex_, p), prime)
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -304,39 +293,25 @@ def _gfp_class_basis(complex_: SimplicialComplex, p: int, prime: int) -> list[np
     The basis is the greedy one: of the nullspace vectors N_0, N_1, ... of
     delta^p, in `nullspace_mod_p`'s order, N_k is kept when it is independent
     of im delta^{p-1} and of the vectors kept before it.  A `GfpSpan` makes
-    that choice in one of two coordinate systems, with the same outcome.
-
-    When a solve has built the factor T of delta^{p-1} (a verdict solves
-    against delta^1 before it asks for H^2), the span works in the quotient
-    C^p / im delta^{p-1}.  T delta^{p-1} is in reduced row echelon form with
-    rank r, so its column space is the vectors that vanish from row r on;
-    T is invertible, so y lies in im delta^{p-1} + span(S) exactly when
-    (T y)[r:] lies in the span of the (T s)[r:], s in S.  The span is fed
-    the projections (T N_k)[r:], of length #p-simplices - r, and never the
-    columns of delta^{p-1}; once it fills the quotient no later vector can
+    that choice in the quotient C^p / im delta^{p-1}, through the cached
+    factor T of delta^{p-1}, the one its solves use.  T delta^{p-1} is in
+    reduced row echelon form with rank r, so its column space is the
+    vectors that vanish from row r on; T is invertible, so y lies in
+    im delta^{p-1} + span(S) exactly when (T y)[r:] lies in the span of the
+    (T s)[r:], s in S.  The span is fed the projections (T N_k)[r:], of
+    length #p-simplices - r; once it fills the quotient no later vector can
     be kept.  In the top degree the quotient is H^p itself, so a few
     inserts settle the basis.
-
-    Otherwise T, #p-simplices squared entries, is not built for the basis
-    alone: the span works in C^p and is first fed the columns of
-    delta^{p-1}.
     """
     up = coboundary_matrix(complex_, p)
-    factor = _factors.get((complex_, p - 1, prime))
-    if factor is None:
-        span = GfpSpan(up.shape[1], prime)
-        down = coboundary_matrix(complex_, p - 1)
-        for col in range(down.shape[1]):
-            span.insert(down[:, col])
-        image_rank = span.rank
-    else:
-        image_rank = len(factor.pivots)
-        span = GfpSpan(factor.rows - image_rank, prime)
+    factor = _coboundary_factor(complex_, p - 1, prime)
+    image_rank = len(factor.pivots)
+    span = GfpSpan(factor.rows - image_rank, prime)
     reps = []
     for vec in nullspace_mod_p(up, prime):
         if span.rank == span.dim:
             break
-        if span.insert(vec if factor is None else factor._times(vec, image_rank)):
+        if span.insert(factor._times(vec, image_rank)):
             reps.append(vec % prime)
     expected = up.shape[1] - rank_mod_p(up, prime) - image_rank
     if len(reps) != expected:

@@ -1,7 +1,8 @@
 """Exact linear algebra helpers: GF(p) elimination and integer Smith normal form.
 
-GF(p) takes a prime p up to 2^31 - 1 and integer entries; other inputs
-raise ValueError.  Over odd primes a matrix is a numpy int64 array, and
+Every entry point takes integer entries only, and raises ValueError on
+any other (a float is not rounded); GF(p) also takes only a prime p up to
+2^31 - 1.  Over odd primes a matrix is a numpy int64 array, and
 `rref_mod_p` reduces one copy in place, mod p after every pivot's update,
 so every entry stays below p and every product below p^2 < 2^63.  Over
 GF(2) each row is one Python int, bit c for column c: elimination XORs
@@ -15,10 +16,9 @@ b costs one product T b (over GF(2), one AND and parity per row of T).
 Callers that ask many questions of one matrix keep the factor (cochain
 caches one per complex, degree and prime), and the witness is the one a
 fresh elimination of [A | b] returns; `factor_mod_p` gives the argument.
-The cohomology basis uses the same factor when a solve has built it:
-`GfpSpan` then picks the representatives among the nullspace vectors of
-the next coboundary in the coordinates T gives to the quotient by the
-image.
+The cohomology basis uses the same cached factor: `GfpSpan` picks the
+representatives among the nullspace vectors of the next coboundary in the
+coordinates T gives to the quotient by the image.
 
 The Smith normal form works on plain Python ints, so entries can never
 overflow.  It is a sparse replay of the dense elimination kept in the
@@ -75,13 +75,6 @@ _BLOCK_ROWS = 64
 _MAX_PRIME = 2**31 - 1
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
-
-
 # Bounded so that emptying the library's caches reaches it too; trial
 # division of 2^31 - 1 alone takes milliseconds.
 @lru_cache(maxsize=64)
@@ -96,20 +89,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _integers(x, p) -> np.ndarray:
-    """`x` as an integer array: no copy when it already is one, reduced mod
-    p when it holds Python ints, which may be of any size.  Raises
-    ValueError on an entry that is not an integer."""
+def _integers(x, p: Optional[int] = None, ndim: Optional[int] = None) -> np.ndarray:
+    """`x` as an integer array, the one input check of this module.  Raises
+    ValueError on an entry that is not an integer, or when `x` does not
+    have `ndim` dimensions.  No copy when `x` already is an integer array;
+    Python ints, which may be of any size, are reduced mod p into int64
+    when a modulus p is given, and stay exact ints otherwise."""
     m = np.asarray(x)
+    if ndim is not None and m.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {m.shape}")
     if m.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in m.flat):
-        return (m % p).astype(np.int64)
-    if m.dtype == np.uint64:
+        return m if p is None else (m % p).astype(np.int64)
+    if m.dtype == np.uint64 and p is not None:
         return m % np.uint64(p)
-    if m.dtype.kind in "iub":
+    if m.dtype.kind in "iu":
         return m
-    if m.size:
-        raise ValueError(f"GF({p}) entries must be integers, got dtype {m.dtype}")
-    return m.astype(np.int64)
+    if m.dtype.kind == "b" or not m.size:
+        return m.astype(np.int64)
+    raise ValueError(f"expected integer entries, got dtype {m.dtype}")
 
 
 def _gfp_matrix(a, p) -> np.ndarray:
@@ -117,10 +114,7 @@ def _gfp_matrix(a, p) -> np.ndarray:
     a prime in 2..2^31 - 1; raises ValueError otherwise."""
     if not (isinstance(p, (int, np.integer)) and 2 <= p <= _MAX_PRIME and _is_prime(int(p))):
         raise ValueError(f"GF(p) needs a prime p in 2..2^31 - 1, got {p!r}")
-    m = _integers(a, p)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
+    return _integers(a, p, ndim=2)
 
 
 def _pack_rows(m: np.ndarray) -> list[int]:
@@ -387,7 +381,7 @@ class GfpSpan:
 
     def insert(self, vec) -> bool:
         """Reduce `vec` against the span; add it and return True if independent."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
+        v = _integers(vec, self.p).astype(np.int64) % self.p
         for row, lead in zip(self._rows, self._lead):
             if v[lead]:
                 v = (v - v[lead] * row) % self.p
@@ -399,13 +393,6 @@ class GfpSpan:
         self._rows.append(v)
         self._lead.append(lead)
         return True
-
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for row, lead in zip(self._rows, self._lead):
-            if v[lead]:
-                v = (v - v[lead] * row) % self.p
-        return not np.any(v)
 
     @property
     def rank(self) -> int:
@@ -588,7 +575,7 @@ def smith_normal_form(a) -> Snf:
     move with their S row or column, and swaps only update the position
     tables row_at/rowpos and col_at/colpos.
     """
-    m = _as_matrix(a)
+    m = _integers(a, ndim=2)
     rows, cols = m.shape
     srow: list[dict] = [{} for _ in range(rows)]
     incol: list[set] = [set() for _ in range(cols)]
@@ -713,11 +700,11 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
 
     With S = U A V, solve S z = U b row by row and return x = V z.
     """
-    if len(b) != snf.rows:
+    rhs = _integers(b, m, ndim=1)
+    if rhs.shape[0] != snf.rows:
         raise ValueError("right-hand side length does not match row count")
     mod = snf._mod(m)
-    # % m before the cast keeps entries of any size exact.
-    ub = snf.u_csr.matvec_mod(mod.u, (np.asarray(b) % m).astype(np.int64), m)
+    ub = snf.u_csr.matvec_mod(mod.u, rhs.astype(np.int64) % m, m)
     g, mm, inv = mod.g[: snf.rows], mod.mm[: snf.rows], mod.inv[: snf.rows]
     if (ub % g).any():
         return None
@@ -756,7 +743,7 @@ def _prime_power_split(n: int) -> dict[int, int]:
 def invariant_factors(orders) -> tuple[int, ...]:
     """Collapse a multiset of cyclic orders into invariant-factor form d1 | d2 | ..."""
     powers: dict[int, list[int]] = {}  # prime -> its prime powers in the orders
-    for n in orders:
+    for n in _integers(list(orders), ndim=1).tolist():
         if n < 1:
             raise ValueError(f"cyclic order must be positive, got {n}")
         for p, e in _prime_power_split(n).items():

@@ -301,7 +301,6 @@ def obstruction_class(
     section = _check_instance(s, ext, section)
     q = obstruction_cocycle(s, ext, section)
     witness = is_coboundary(q)
-    # After the solve: for a prime kernel, the basis of H^2 reuses its factor.
     space = cohomology(s.base, 2, ext.kernel)
     lift = None
     if witness is not None:

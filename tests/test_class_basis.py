@@ -1,5 +1,6 @@
 """The GF(p) cohomology basis and nullspace against the frozen span-tracker
-construction, with and without the cached factor of the lower coboundary."""
+construction, with the factor of the lower coboundary built cold for the
+basis and with it already cached."""
 
 import random
 
@@ -16,7 +17,8 @@ from subdivision import complex_by_label
 
 
 def _both_ways(x, p, prime):
-    """_gfp_class_basis without, then with, the factor of delta^{p-1} cached."""
+    """_gfp_class_basis with a cold factor cache, so that it builds the
+    factor of delta^{p-1} itself, then with that factor cached."""
     _coboundary_factor.cache_clear()
     in_chains = _gfp_class_basis(x, p, prime)
     _coboundary_factor(x, p - 1, prime)

@@ -22,7 +22,8 @@ from cechlift.cochain import (
     zero_cochain,
 )
 from cechlift.errors import CapExceededError
-from cechlift.nerve import BUILTIN_COMPLEXES, builtin_complex
+from cechlift.linalg import GfpSpan
+from cechlift.nerve import BUILTIN_COMPLEXES, build_complex, builtin_complex
 from cechlift.obstruct import mobius_cocycle
 from gfp_reference import solve_mod_p_reference
 from oracles import cohomology_dim_gf2, cohomology_dim_mod_p, gf2_span
@@ -289,6 +290,23 @@ def test_basis_representatives():
         assert is_coboundary(rep) is None
     combined = space.basis[0] + space.basis[1]
     assert is_coboundary(combined) is None
+
+
+def test_a_cold_top_degree_basis_inserts_only_its_classes(monkeypatch):
+    # With no solve before it, the basis still works in the quotient by the
+    # image of delta^1: one insert per class, not one per edge.
+    x = build_complex(complex_by_label("sd1(torus7)").facets)
+    inserts = []
+    true_insert = GfpSpan.insert
+
+    def counted(self, vec):
+        inserts.append(vec)
+        return true_insert(self, vec)
+
+    monkeypatch.setattr(GfpSpan, "insert", counted)
+    space = cohomology(x, 2, Z2)
+    assert space.dimension == 1
+    assert len(inserts) == space.dimension
 
 
 def test_enumerate_classes():
