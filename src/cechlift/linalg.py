@@ -22,18 +22,21 @@ coordinates T gives to the quotient by the image.
 
 The Smith normal form works on plain Python ints, so entries can never
 overflow.  It is a sparse replay of the dense elimination kept in the
-tests as the reference: S rows and U rows are dicts of nonzeros, V is
-kept by columns, rows and columns move through position tables, and a
-column-to-rows index lets each step touch only nonzero entries.  The
-operations and their order are the reference's, so S, U and V equal its
-entry for entry.  On dense matrices those entries can grow exponentially,
-so the elimination stops with `CapExceededError` once a pivot or quotient
-passes `_SNF_MAX_BITS` bits.  An `Snf` stores S, U and V once, as S's
-diagonal and the nonzeros of U and V by rows (CSR); the dense S, U and V
-are views built on first read, which only tests do.  Solves and kernel
-samples reduce those values mod m once per modulus, and each product is
-one gather and one `np.add.reduceat` over 16-bit limbs, exact in int64
-for m up to 2^31.
+tests as the reference: S rows are dicts of nonzeros, rows and columns
+move through position tables, and a column-to-rows index lets each step
+touch only nonzero entries.  The operations and their order are the
+reference's, so S, U and V equal its entry for entry.  On dense matrices
+those entries can grow exponentially, so the elimination stops with
+`CapExceededError` once a pivot or quotient passes `_SNF_MAX_BITS` bits.
+The elimination works on S alone and logs its row and column operations;
+an `Snf` keeps S's diagonal and those logs, and U and V are the logs
+replayed on the identity on first read, stored as their nonzeros by rows
+(CSR).  A rank or torsion, all a GF(p) verdict asks of the Smith form,
+reads the diagonal only; a kernel sample replays V, a composite-modulus
+solve U and V.  The dense S, U and V are views built on first read, which
+only tests do.  Solves and kernel samples reduce U's and V's values mod m
+once per modulus, and each product is one gather and one
+`np.add.reduceat` over 16-bit limbs, exact in int64 for m up to 2^31.
 """
 
 from __future__ import annotations
@@ -92,9 +95,11 @@ def _is_prime(n: int) -> bool:
 def _integers(x, p: Optional[int] = None, ndim: Optional[int] = None) -> np.ndarray:
     """`x` as an integer array, the one input check of this module.  Raises
     ValueError on an entry that is not an integer, or when `x` does not
-    have `ndim` dimensions.  No copy when `x` already is an integer array;
-    Python ints, which may be of any size, are reduced mod p into int64
-    when a modulus p is given, and stay exact ints otherwise."""
+    have `ndim` dimensions.  No copy when `x` already is an integer array
+    whose type holds p; a narrower one is widened to int64, since numpy
+    casts p to the array's type in `x % p`.  Python ints, which may be of
+    any size, are reduced mod p into int64 when a modulus p is given, and
+    stay exact ints otherwise."""
     m = np.asarray(x)
     if ndim is not None and m.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {m.shape}")
@@ -103,6 +108,9 @@ def _integers(x, p: Optional[int] = None, ndim: Optional[int] = None) -> np.ndar
     if m.dtype == np.uint64 and p is not None:
         return m % np.uint64(p)
     if m.dtype.kind in "iu":
+        # int64 holds every modulus; np.iinfo costs as much as a small solve.
+        if p is not None and m.dtype.itemsize < 8 and p > np.iinfo(m.dtype).max:
+            return m.astype(np.int64)
         return m
     if m.dtype.kind == "b" or not m.size:
         return m.astype(np.int64)
@@ -441,35 +449,80 @@ class _Csr:
             out[r][c] = x
         return tuple(map(tuple, out))
 
-    def matvec_mod(self, values_mod: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-        """This matrix times x mod m, given its values reduced mod m and x
-        in 0..m-1.  Exact in int64 by the 16-bit limb split of _matvec_mod:
-        each product is below 2^47, and a row holds fewer than 2^16 entries.
-        A row without entries gives 0 (reduceat would repeat the next
-        row's first product for it, so it is left out)."""
+    @cached_property
+    def _by_modulus(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def matvec_mod(self, x: np.ndarray, m: int) -> np.ndarray:
+        """This matrix times x mod m, for x in 0..m-1.  The values are
+        reduced mod m as Python ints, so an entry of any size is exact, once
+        per modulus.  Exact in int64 by the 16-bit limb split of
+        _matvec_mod: each product is below 2^47, and a row holds fewer than
+        2^16 entries.  A row without entries gives 0 (reduceat would repeat
+        the next row's first product for it, so it is left out)."""
+        values = self._by_modulus.get(m)
+        if values is None:
+            values = self._by_modulus[m] = np.array([v % m for v in self.values], dtype=np.int64)
         out = np.zeros(self.rows, dtype=np.int64)
         if self.columns.size:
             xs = x[self.columns]
-            hi = np.add.reduceat(values_mod * (xs >> 16), self.starts) % m
-            lo = np.add.reduceat(values_mod * (xs & 0xFFFF), self.starts) % m
+            hi = np.add.reduceat(values * (xs >> 16), self.starts) % m
+            lo = np.add.reduceat(values * (xs & 0xFFFF), self.starts) % m
             out[self.hit_rows] = (hi * 0x10000 + lo) % m
         return out
 
 
-@dataclass(frozen=True)
+def _axpy(dst: dict, src: dict, k: int) -> None:
+    """dst += k * src for sparse vectors stored as {index: nonzero entry}; k != 0."""
+    for key, x in src.items():
+        y = dst.get(key, 0) + k * x
+        if y:
+            dst[key] = y
+        else:
+            del dst[key]
+
+
+# The log of a Smith form's row or column operations: `ops` holds three ints
+# per operation, in order, flat to keep it small, and `order` is the line at
+# each final position, lines named by their index in A.  (dst, src, k) adds
+# k times line src to line dst; (i, i, -2), line i plus -2 times itself,
+# negates it.
+_OpLog = tuple[list[int], tuple[int, ...]]
+
+
+def _replay(ops: list[int], order: tuple[int, ...]) -> list[dict[int, int]]:
+    """A logged elimination's operations applied to the identity, as one
+    {index: nonzero entry} dict per final position: the rows of U for row
+    operations, the columns of V for column operations."""
+    lines = [{i: 1} for i in range(len(order))]
+    step = iter(ops)
+    for dst, src, k in zip(step, step, step):
+        if dst == src:
+            lines[dst] = {i: -x for i, x in lines[dst].items()}
+        else:
+            _axpy(lines[dst], lines[src], k)
+    return [lines[i] for i in order]
+
+
+@dataclass(frozen=True, eq=False)
 class Snf:
     """S = U A V with U, V unimodular; S diagonal with divisibility down the diagonal.
 
-    The fields are S's diagonal and U and V in CSR form, and equality and
-    hashing compare those.  The dense `s`, `u` and `v` are read-only views
-    built on first read, which no library path does.
+    S is stored as its diagonal.  U and V, in CSR form as `u_csr` and
+    `v_csr`, are cached properties: `smith_normal_form` logs its row and
+    column operations, and the first read of U or V replays its log.  A
+    solve reads both, a kernel sample V only, and a rank or torsion, which
+    needs the diagonal alone, neither.  Equality and hashing compare rows,
+    cols, diag, U and V, replaying the logs if needed.  The dense `s`, `u`
+    and `v` are read-only views built on first read, which no library path
+    does.
     """
 
     rows: int
     cols: int
     diag: tuple[int, ...]
-    u_csr: _Csr
-    v_csr: _Csr
+    row_log: Optional[_OpLog] = field(default=None, repr=False)
+    col_log: Optional[_OpLog] = field(default=None, repr=False)
 
     @classmethod
     def from_rows(cls, diagonal: Sequence[int], u: Sequence[dict[int, int]], v: Sequence[dict[int, int]]) -> "Snf":
@@ -478,7 +531,31 @@ class Snf:
         rows, cols = len(u), len(v)
         if len(diagonal) != min(rows, cols):
             raise ValueError(f"a {rows} x {cols} Smith form has {min(rows, cols)} diagonal entries")
-        return cls(rows=rows, cols=cols, diag=tuple(diagonal), u_csr=_Csr.from_rows(u), v_csr=_Csr.from_rows(v))
+        snf = cls(rows=rows, cols=cols, diag=tuple(diagonal))
+        # No log to replay: U and V are given, so they fill the cached properties.
+        vars(snf).update(u_csr=_Csr.from_rows(u), v_csr=_Csr.from_rows(v))
+        return snf
+
+    @cached_property
+    def u_csr(self) -> _Csr:
+        return _Csr.from_rows(_replay(*self.row_log))
+
+    @cached_property
+    def v_csr(self) -> _Csr:
+        vrow: list[dict] = [{} for _ in range(self.cols)]
+        for j, col in enumerate(_replay(*self.col_log)):
+            for i, x in col.items():
+                vrow[i][j] = x
+        return _Csr.from_rows(vrow)
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.diag, self.u_csr, self.v_csr)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Snf) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def diagonal(self) -> list[int]:
         return list(self.diag)
@@ -511,42 +588,26 @@ class Snf:
 
 @dataclass(frozen=True, eq=False)
 class _SnfMod:
-    """An Snf's solver data mod m.  For each diagonal position i (m past the
-    diagonal, up to max(rows, cols)): g = gcd(d_i mod m, m), mm = m / g, and
-    inv, the inverse of d_i / g mod mm; d_i z = r (mod m) is solvable iff
-    g | r, with least solution z = (r / g) inv mod mm."""
+    """An Snf's diagonal mod m, for solves.  For each diagonal position i (m
+    past the diagonal, up to max(rows, cols)): g = gcd(d_i mod m, m),
+    mm = m / g, and inv, the inverse of d_i / g mod mm; d_i z = r (mod m) is
+    solvable iff g | r, with least solution z = (r / g) inv mod mm."""
 
-    u: np.ndarray
-    v: np.ndarray
     g: np.ndarray
     mm: np.ndarray
     inv: np.ndarray
 
     @classmethod
     def build(cls, snf: Snf, m: int) -> "_SnfMod":
-        # U's and V's values reduced as Python ints, so an entry of any size is exact.
-        u, v = ([x % m for x in csr.values] for csr in (snf.u_csr, snf.v_csr))
         diag = [d % m for d in snf.diag] + [0] * (max(snf.rows, snf.cols) - len(snf.diag))
         g = [gcd(d, m) for d in diag]
         mm = [m // x for x in g]
         inv = [pow(d // x, -1, n) for d, x, n in zip(diag, g, mm)]
         return cls(
-            u=np.array(u, dtype=np.int64),
-            v=np.array(v, dtype=np.int64),
             g=np.array(g, dtype=np.int64),
             mm=np.array(mm, dtype=np.int64),
             inv=np.array(inv, dtype=np.int64),
         )
-
-
-def _axpy(dst: dict, src: dict, k: int) -> None:
-    """dst += k * src for sparse vectors stored as {index: nonzero entry}; k != 0."""
-    for key, x in src.items():
-        y = dst.get(key, 0) + k * x
-        if y:
-            dst[key] = y
-        else:
-            del dst[key]
 
 
 # Bit length past which a pivot or quotient of the Smith form's elimination
@@ -564,16 +625,19 @@ def _snf_too_big(x: int) -> CapExceededError:
 
 
 def smith_normal_form(a) -> Snf:
-    """Smith normal form of an integer matrix, with U and V.
+    """Smith normal form of an integer matrix; U and V are logged, and built on first read.
 
     Pivot on the entry of least absolute value (first in row-major order),
     clear its row and column by Euclidean steps, swapping in any remainder,
     and fold in the first row the pivot does not divide until it divides
     the whole remaining block; finally make the pivot positive.
 
-    S rows are dicts keyed by original column index, U rows and V columns
-    move with their S row or column, and swaps only update the position
-    tables row_at/rowpos and col_at/colpos.
+    S rows are dicts keyed by original column index; swaps only update the
+    position tables row_at/rowpos and col_at/colpos.  Each row operation,
+    sign flip and column operation is appended to a log by row or column
+    id, and `Snf.u_csr` / `Snf.v_csr` replay it on first read, so an
+    elimination does no work on U or V.  A unit pivot alone in its column
+    clears its row in one step: every column operation would leave a zero.
     """
     m = _integers(a, ndim=2)
     rows, cols = m.shape
@@ -583,8 +647,8 @@ def smith_normal_form(a) -> Snf:
     for r, c, x in zip(nz_r.tolist(), nz_c.tolist(), m[nz_r, nz_c].tolist()):
         srow[r][c] = x
         incol[c].add(r)
-    urow = [{r: 1} for r in range(rows)]
-    vcol = [{c: 1} for c in range(cols)]
+    row_ops: list[int] = []
+    col_ops: list[int] = []
     row_at, rowpos = list(range(rows)), list(range(rows))
     col_at, colpos = list(range(cols)), list(range(cols))
 
@@ -610,7 +674,7 @@ def smith_normal_form(a) -> Snf:
             else:
                 del d[c]
                 incol[c].discard(dst)
-        _axpy(urow[dst], urow[src], k)
+        row_ops.extend((dst, src, k))
 
     def add_col(src, dst, k):
         # column dst += k * column src, by column id
@@ -624,7 +688,7 @@ def smith_normal_form(a) -> Snf:
             else:
                 del row[dst]
                 hits.discard(r)
-        _axpy(vcol[dst], vcol[src], k)
+        col_ops.extend((dst, src, k))
 
     # Invariant: rows at positions >= t have no entries in columns at positions < t.
     t = 0
@@ -660,7 +724,21 @@ def smith_normal_form(a) -> Snf:
                 if c in srow[r]:
                     swap_rows(t, i)
                     dirty = True
-            prow = srow[row_at[t]]
+            r, pc = row_at[t], col_at[t]
+            prow = srow[r]
+            if prow[pc] in (1, -1) and len(incol[pc]) == 1:
+                # Column pc holds only the unit pivot, so each column
+                # operation below would zero one entry of the pivot row and
+                # touch nothing else: log them, then drop those entries.
+                for j in sorted(colpos[c] for c in prow if c != pc):
+                    c = col_at[j]
+                    q = prow[c] // prow[pc]
+                    if q.bit_length() > _SNF_MAX_BITS:
+                        raise _snf_too_big(q)
+                    col_ops.extend((c, pc, -q))
+                    incol[c].discard(r)
+                srow[r] = {pc: prow[pc]}
+                break
             for j in sorted(colpos[c] for c in prow if colpos[c] > t):
                 c = col_at[j]
                 q = prow[c] // prow[col_at[t]]
@@ -684,15 +762,11 @@ def smith_normal_form(a) -> Snf:
         if pivot < 0:
             r = row_at[t]
             srow[r] = {c: -x for c, x in srow[r].items()}
-            urow[r] = {k: -x for k, x in urow[r].items()}
+            row_ops.extend((r, r, -2))
         t += 1
 
-    diag = [srow[row_at[t]].get(col_at[t], 0) for t in range(min(rows, cols))]
-    vrow: list[dict] = [{} for _ in range(cols)]
-    for j, c in enumerate(col_at):
-        for i, x in vcol[c].items():
-            vrow[i][j] = x
-    return Snf.from_rows(diag, [urow[r] for r in row_at], vrow)
+    diag = tuple(srow[row_at[t]].get(col_at[t], 0) for t in range(min(rows, cols)))
+    return Snf(rows, cols, diag, (row_ops, tuple(row_at)), (col_ops, tuple(col_at)))
 
 
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
@@ -704,7 +778,7 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     if rhs.shape[0] != snf.rows:
         raise ValueError("right-hand side length does not match row count")
     mod = snf._mod(m)
-    ub = snf.u_csr.matvec_mod(mod.u, rhs.astype(np.int64) % m, m)
+    ub = snf.u_csr.matvec_mod(rhs.astype(np.int64) % m, m)
     g, mm, inv = mod.g[: snf.rows], mod.mm[: snf.rows], mod.inv[: snf.rows]
     if (ub % g).any():
         return None
@@ -712,7 +786,7 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     z = np.zeros(snf.cols, dtype=np.int64)
     k = min(snf.rows, snf.cols)
     z[:k] = ((ub // g) * inv % mm)[:k]
-    return snf.v_csr.matvec_mod(mod.v, z, m).tolist()
+    return snf.v_csr.matvec_mod(z, m).tolist()
 
 
 def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
@@ -721,7 +795,7 @@ def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
     # solutions of d z = 0 mod m are the multiples of m/g
     steps = zip(mod.g[: snf.cols].tolist(), mod.mm[: snf.cols].tolist())
     z = np.array([rng.randrange(g) * n for g, n in steps], dtype=np.int64)
-    return snf.v_csr.matvec_mod(mod.v, z, m).tolist()
+    return snf.v_csr.matvec_mod(z, m).tolist()
 
 
 # ------------------------------------------------------- invariant factors ----

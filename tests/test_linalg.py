@@ -11,7 +11,7 @@ from cechlift import linalg
 from cechlift.coefgroup import Z2, AbelianGroup
 from cechlift.cochain import Cochain, _coboundary_snf, coboundary, coboundary_matrix, cohomology, is_coboundary
 from cechlift.errors import CapExceededError
-from cechlift.fingroup import cyclic_group
+from cechlift.fingroup import builtin_extension, cyclic_group
 from cechlift.linalg import (
     GfpFactor,
     GfpSpan,
@@ -27,7 +27,7 @@ from cechlift.linalg import (
     solve_mod_p,
 )
 from cechlift.nerve import BUILTIN_COMPLEXES
-from cechlift.obstruct import random_cocycle
+from cechlift.obstruct import identity_cocycle, obstruction_class, random_cocycle
 from gfp_reference import (
     rref_mod_p_reference,
     sample_kernel_mod_m_reference,
@@ -255,6 +255,28 @@ def test_gfp_span_rejects_non_integers():
 def test_invariant_factors_rejects_non_integers():
     with pytest.raises(ValueError):
         invariant_factors([2.5, 4])
+
+
+@pytest.mark.parametrize("dtype", (np.int8, np.uint8, np.int16))
+@pytest.mark.parametrize("p", (3, 257, 2**31 - 1))
+def test_gfp_entry_points_take_integer_types_too_narrow_for_p(dtype, p):
+    # numpy casts p to the array's type in `x % p`, so a type that cannot
+    # hold p overflows unless widened; every entry point answers as on the
+    # same values in int64.
+    a = np.array([[1, -2, 3, 0], [2, -4, 6, 0], [-7, 8, 9, 1]]).astype(dtype)
+    wide = a.astype(np.int64)
+    got, want = rref_mod_p(a, p), rref_mod_p(wide, p)
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+    assert rank_mod_p(a, p) == rank_mod_p(wide, p)
+    got, want = factor_mod_p(a, p), factor_mod_p(wide, p)
+    assert got.pivots == want.pivots and got.t.tolist() == want.t.tolist()
+    assert [v.tolist() for v in nullspace_mod_p(a, p)] == [v.tolist() for v in nullspace_mod_p(wide, p)]
+    for b in (np.array([1, 2, 5]), np.array([1, 1, 0])):
+        narrow_b = b.astype(dtype)
+        want = solve_mod_p(wide, narrow_b.astype(np.int64), p)
+        for got in (solve_mod_p(a, narrow_b, p), solve_mod_p(factor_mod_p(a, p), narrow_b, p)):
+            assert (got is None) == (want is None)
+            assert got is None or got.tolist() == want.tolist()
 
 
 def test_solve_against_a_factor_does_not_check_the_prime_again(monkeypatch):
@@ -622,6 +644,60 @@ def test_library_never_builds_the_dense_snf_views():
     want = smith_normal_form_reference(coboundary_matrix(x, 1))
     assert snfs[1].u == want["u"]
     assert "u" in vars(snfs[1])
+
+
+def test_smith_form_builds_u_and_v_only_when_read():
+    # A Z2 verdict reads only the diagonal of delta^1's Smith form; a kernel
+    # draw replays the log of column operations into V, and a Z4 solve the
+    # log of row operations into U as well.
+    x = complex_by_label("sd1(torus7)")
+    ext = builtin_extension("z4_over_z2")
+    assert obstruction_class(identity_cocycle(x, ext.base), ext).trivial
+    cohomology(x, 2, Z2)
+    misses = _coboundary_snf.cache_info().misses
+    snf = _coboundary_snf(x, 1)
+    assert _coboundary_snf.cache_info().misses == misses
+    assert not {"u_csr", "v_csr"} & vars(snf).keys()
+    random_cocycle(x, cyclic_group(4), seed=5)
+    assert "v_csr" in vars(snf) and "u_csr" not in vars(snf)
+    rng = random.Random(15)
+    f = coboundary(Cochain(x, 1, Z4, [(rng.randrange(4),) for _ in range(x.dim_count(1))]))
+    assert is_coboundary(f) is not None
+    assert {"u_csr", "v_csr"} <= vars(snf).keys()
+    want = smith_normal_form_reference(coboundary_matrix(x, 1))
+    assert (snf.s, snf.u, snf.v) == (want["s"], want["u"], want["v"])
+
+
+# The ladder's rung sizes: every pivot but one clears its row in one step
+# there, which logs 8,781 column operations on delta^1 of sd2(rp2_6).  The
+# dense reference takes about 1.5 s on that matrix.
+@pytest.mark.parametrize("label, degree", (("sd1(klein)", 0), ("sd1(klein)", 1), ("sd2(rp2_6)", 1)))
+def test_smith_normal_form_matches_reference_on_ladder_rungs(label, degree):
+    _assert_same_as_reference(coboundary_matrix(complex_by_label(label), degree))
+
+
+@pytest.mark.parametrize("v_first", (True, False))
+def test_u_and_v_replay_alike_in_either_order(v_first):
+    # A kernel draw reads V alone and a solve reads U and V; whichever
+    # comes first, both replay to the reference's U and V.
+    mat = coboundary_matrix(complex_by_label("sd1(klein)"), 1)
+    want = smith_normal_form_reference(mat)
+    rng = random.Random(16)
+    for m in (4, 6):
+        snf = smith_normal_form(mat)
+        seed = rng.randrange(1 << 30)
+        x0 = np.array([rng.randrange(m) for _ in range(mat.shape[1])])
+        b = (mat @ x0 % m).tolist()
+        if v_first:
+            kernel = sample_kernel_mod_m(snf, m, random.Random(seed))
+            assert "u_csr" not in vars(snf)
+            solved = solve_mod_m(snf, b, m)
+        else:
+            solved = solve_mod_m(snf, b, m)
+            kernel = sample_kernel_mod_m(snf, m, random.Random(seed))
+        assert (snf.s, snf.u, snf.v) == (want["s"], want["u"], want["v"])
+        assert solved is not None and solved == solve_mod_m_reference(snf, b, m)
+        assert kernel == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
 
 
 def test_sample_kernel_mod_m_lands_in_kernel_and_covers():
