@@ -29,14 +29,17 @@ reference's, so S, U and V equal its entry for entry.  On dense matrices
 those entries can grow exponentially, so the elimination stops with
 `CapExceededError` once a pivot or quotient passes `_SNF_MAX_BITS` bits.
 The elimination works on S alone and logs its row and column operations;
-an `Snf` keeps S's diagonal and those logs, and U and V are the logs
-replayed on the identity on first read, stored as their nonzeros by rows
-(CSR).  A rank or torsion, all a GF(p) verdict asks of the Smith form,
-reads the diagonal only; a kernel sample replays V, a composite-modulus
-solve U and V.  The dense S, U and V are views built on first read, which
-only tests do.  Solves and kernel samples reduce U's and V's values mod m
-once per modulus, and each product is one gather and one
-`np.add.reduceat` over 16-bit limbs, exact in int64 for m up to 2^31.
+an `Snf` keeps S's diagonal and those logs.  A rank or torsion, all a
+GF(p) verdict asks of the Smith form, reads the diagonal only.  A
+composite-modulus solve applies the row log to b itself, the product form
+of U (Dantzig and Orchard-Hays), and multiplies by V's image columns, the
+ones at nonzero diagonal entries, which it replays from the column
+operations they depend on; a kernel draw replays the full V.  V's parts
+are stored as their nonzeros by rows (CSR), built on first read; no
+library path builds U, which with the dense S, U and V only tests read.
+Solves and kernel draws reduce V's values mod m once per modulus, and
+each product is one gather and one `np.add.reduceat` over 16-bit limbs,
+exact in int64 for m up to 2^31.
 """
 
 from __future__ import annotations
@@ -473,7 +476,8 @@ class _Csr:
 
 
 def _axpy(dst: dict, src: dict, k: int) -> None:
-    """dst += k * src for sparse vectors stored as {index: nonzero entry}; k != 0."""
+    """dst += k * src for sparse vectors stored as {index: nonzero entry}; k != 0.
+    dst may be src: each entry is then scaled by 1 + k in place."""
     for key, x in src.items():
         y = dst.get(key, 0) + k * x
         if y:
@@ -486,55 +490,53 @@ def _axpy(dst: dict, src: dict, k: int) -> None:
 # per operation, in order, flat to keep it small, and `order` is the line at
 # each final position, lines named by their index in A.  (dst, src, k) adds
 # k times line src to line dst; (i, i, -2), line i plus -2 times itself,
-# negates it.
+# negates it by the same rule.
 _OpLog = tuple[list[int], tuple[int, ...]]
 
 
-def _replay(ops: list[int], order: tuple[int, ...]) -> list[dict[int, int]]:
+def _replay(ops: list[int], order: tuple[int, ...], count: Optional[int] = None) -> list[dict[int, int]]:
     """A logged elimination's operations applied to the identity, as one
-    {index: nonzero entry} dict per final position: the rows of U for row
-    operations, the columns of V for column operations."""
-    lines = [{i: 1} for i in range(len(order))]
-    step = iter(ops)
-    for dst, src, k in zip(step, step, step):
-        if dst == src:
-            lines[dst] = {i: -x for i, x in lines[dst].items()}
-        else:
-            _axpy(lines[dst], lines[src], k)
-    return [lines[i] for i in order]
+    {index: nonzero entry} dict for each of the first `count` final
+    positions (all by default): rows of U, or columns of V.  Only the
+    operations those lines depend on are replayed, marked in one backward
+    pass: an operation counts when it writes a line needed at that point,
+    and its source is needed from there back.  So a line written after it
+    was a source (a Euclidean swap does that) takes those later writes only
+    if it is needed after them."""
+    wanted = order[:count]
+    needed = set(wanted)
+    marked = []
+    for at in range(len(ops) - 3, -1, -3):
+        if ops[at] in needed:
+            marked.append(at)
+            needed.add(ops[at + 1])
+    lines = {i: {i: 1} for i in needed}
+    for at in reversed(marked):
+        dst, src, k = ops[at : at + 3]
+        _axpy(lines[dst], lines[src], k)
+    return [lines[i] for i in wanted]
 
 
 @dataclass(frozen=True, eq=False)
 class Snf:
     """S = U A V with U, V unimodular; S diagonal with divisibility down the diagonal.
 
-    S is stored as its diagonal.  U and V, in CSR form as `u_csr` and
-    `v_csr`, are cached properties: `smith_normal_form` logs its row and
-    column operations, and the first read of U or V replays its log.  A
-    solve reads both, a kernel sample V only, and a rank or torsion, which
-    needs the diagonal alone, neither.  Equality and hashing compare rows,
-    cols, diag, U and V, replaying the logs if needed.  The dense `s`, `u`
-    and `v` are read-only views built on first read, which no library path
-    does.
+    S is stored as its diagonal, U and V as the logs of the row and column
+    operations of `smith_normal_form`.  A rank or torsion reads the
+    diagonal alone.  A solve applies the row log to its right-hand side
+    and reads `v_image_csr`, V's columns at the nonzero diagonal entries; a
+    kernel draw reads the full V, `v_csr`.  Both are cached properties
+    replayed from the column log on first read.  U as a matrix, `u_csr`,
+    is replayed only for equality and hashing, which compare rows, cols,
+    diag, U and V, and for the dense `s`, `u` and `v`: read-only views
+    built on first read, which no library path does.
     """
 
     rows: int
     cols: int
     diag: tuple[int, ...]
-    row_log: Optional[_OpLog] = field(default=None, repr=False)
-    col_log: Optional[_OpLog] = field(default=None, repr=False)
-
-    @classmethod
-    def from_rows(cls, diagonal: Sequence[int], u: Sequence[dict[int, int]], v: Sequence[dict[int, int]]) -> "Snf":
-        """From S's diagonal and one {column: nonzero entry} dict per row of
-        U (rows x rows) and of V (cols x cols)."""
-        rows, cols = len(u), len(v)
-        if len(diagonal) != min(rows, cols):
-            raise ValueError(f"a {rows} x {cols} Smith form has {min(rows, cols)} diagonal entries")
-        snf = cls(rows=rows, cols=cols, diag=tuple(diagonal))
-        # No log to replay: U and V are given, so they fill the cached properties.
-        vars(snf).update(u_csr=_Csr.from_rows(u), v_csr=_Csr.from_rows(v))
-        return snf
+    row_log: _OpLog = field(repr=False)
+    col_log: _OpLog = field(repr=False)
 
     @cached_property
     def u_csr(self) -> _Csr:
@@ -542,8 +544,16 @@ class Snf:
 
     @cached_property
     def v_csr(self) -> _Csr:
+        return self._v_columns(self.cols)
+
+    @cached_property
+    def v_image_csr(self) -> _Csr:
+        return self._v_columns(len(self.diag) - self.diag.count(0))
+
+    def _v_columns(self, count: int) -> _Csr:
+        """V's first `count` columns, by rows: a cols x count matrix."""
         vrow: list[dict] = [{} for _ in range(self.cols)]
-        for j, col in enumerate(_replay(*self.col_log)):
+        for j, col in enumerate(_replay(*self.col_log, count)):
             for i, x in col.items():
                 vrow[i][j] = x
         return _Csr.from_rows(vrow)
@@ -576,38 +586,23 @@ class Snf:
         return self.v_csr.dense(self.cols)
 
     @cached_property
-    def _by_modulus(self) -> dict[int, "_SnfMod"]:
+    def _by_modulus(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return {}
 
-    def _mod(self, m: int) -> "_SnfMod":
+    def _mod(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The diagonal mod m as int64 arrays (g, mm, inv), for solves.  For
+        each diagonal position i (m past the diagonal, up to max(rows,
+        cols)): g = gcd(d_i mod m, m), mm = m / g, and inv, the inverse of
+        d_i / g mod mm; d_i z = r (mod m) is solvable iff g | r, with least
+        solution z = (r / g) inv mod mm."""
         view = self._by_modulus.get(m)
         if view is None:
-            view = self._by_modulus[m] = _SnfMod.build(self, m)
+            diag = [d % m for d in self.diag] + [0] * (max(self.rows, self.cols) - len(self.diag))
+            g = [gcd(d, m) for d in diag]
+            mm = [m // x for x in g]
+            inv = [pow(d // x, -1, n) for d, x, n in zip(diag, g, mm)]
+            view = self._by_modulus[m] = tuple(np.array(v, dtype=np.int64) for v in (g, mm, inv))
         return view
-
-
-@dataclass(frozen=True, eq=False)
-class _SnfMod:
-    """An Snf's diagonal mod m, for solves.  For each diagonal position i (m
-    past the diagonal, up to max(rows, cols)): g = gcd(d_i mod m, m),
-    mm = m / g, and inv, the inverse of d_i / g mod mm; d_i z = r (mod m) is
-    solvable iff g | r, with least solution z = (r / g) inv mod mm."""
-
-    g: np.ndarray
-    mm: np.ndarray
-    inv: np.ndarray
-
-    @classmethod
-    def build(cls, snf: Snf, m: int) -> "_SnfMod":
-        diag = [d % m for d in snf.diag] + [0] * (max(snf.rows, snf.cols) - len(snf.diag))
-        g = [gcd(d, m) for d in diag]
-        mm = [m // x for x in g]
-        inv = [pow(d // x, -1, n) for d, x, n in zip(diag, g, mm)]
-        return cls(
-            g=np.array(g, dtype=np.int64),
-            mm=np.array(mm, dtype=np.int64),
-            inv=np.array(inv, dtype=np.int64),
-        )
 
 
 # Bit length past which a pivot or quotient of the Smith form's elimination
@@ -625,7 +620,7 @@ def _snf_too_big(x: int) -> CapExceededError:
 
 
 def smith_normal_form(a) -> Snf:
-    """Smith normal form of an integer matrix; U and V are logged, and built on first read.
+    """Smith normal form of an integer matrix; U and V are kept as logs of operations.
 
     Pivot on the entry of least absolute value (first in row-major order),
     clear its row and column by Euclidean steps, swapping in any remainder,
@@ -635,7 +630,7 @@ def smith_normal_form(a) -> Snf:
     S rows are dicts keyed by original column index; swaps only update the
     position tables row_at/rowpos and col_at/colpos.  Each row operation,
     sign flip and column operation is appended to a log by row or column
-    id, and `Snf.u_csr` / `Snf.v_csr` replay it on first read, so an
+    id, and an `Snf` reads the logs only where asked (see there), so an
     elimination does no work on U or V.  A unit pivot alone in its column
     clears its row in one step: every column operation would leave a zero.
     """
@@ -772,29 +767,34 @@ def smith_normal_form(a) -> Snf:
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     """Solve A x = b (mod m) given the SNF of A; least solution, or None.
 
-    With S = U A V, solve S z = U b row by row and return x = V z.
+    With S = U A V, solve S z = U b row by row and return x = V z.  U b is
+    the row log applied to b mod m, on Python ints, read in the final row
+    order; U itself is never built.  z is 0 wherever the diagonal is, so
+    x reads only V's image columns.
     """
     rhs = _integers(b, m, ndim=1)
     if rhs.shape[0] != snf.rows:
         raise ValueError("right-hand side length does not match row count")
-    mod = snf._mod(m)
-    ub = snf.u_csr.matvec_mod(rhs.astype(np.int64) % m, m)
-    g, mm, inv = mod.g[: snf.rows], mod.mm[: snf.rows], mod.inv[: snf.rows]
+    line = rhs.tolist()
+    ops, order = snf.row_log
+    step = iter(ops)
+    for dst, src, k in zip(step, step, step):
+        line[dst] = (line[dst] + k * line[src]) % m
+    ub = np.array([line[i] % m for i in order], dtype=np.int64)
+    g, mm, inv = (v[: snf.rows] for v in snf._mod(m))
     if (ub % g).any():
         return None
-    # Rows past the diagonal or with d = 0 mod m have g = m and mm = 1: z = 0.
-    z = np.zeros(snf.cols, dtype=np.int64)
-    k = min(snf.rows, snf.cols)
-    z[:k] = ((ub // g) * inv % mm)[:k]
-    return snf.v_csr.matvec_mod(z, m).tolist()
+    # Rows with d = 0 mod m have g = m, mm = 1, so z = 0; V's image part reads z below the rank only.
+    return snf.v_image_csr.matvec_mod((ub // g) * inv % mm, m).tolist()
 
 
 def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
-    """Uniform random solution of A x = 0 (mod m) given the SNF of A."""
-    mod = snf._mod(m)
+    """Uniform random solution of A x = 0 (mod m) given the SNF of A: V z
+    for a random z with S z = 0 (mod m), through the full V."""
+    g, mm, _ = snf._mod(m)
     # solutions of d z = 0 mod m are the multiples of m/g
-    steps = zip(mod.g[: snf.cols].tolist(), mod.mm[: snf.cols].tolist())
-    z = np.array([rng.randrange(g) * n for g, n in steps], dtype=np.int64)
+    steps = zip(g[: snf.cols].tolist(), mm[: snf.cols].tolist())
+    z = np.array([rng.randrange(k) * n for k, n in steps], dtype=np.int64)
     return snf.v_csr.matvec_mod(z, m).tolist()
 
 

@@ -15,7 +15,6 @@ from cechlift.fingroup import builtin_extension, cyclic_group
 from cechlift.linalg import (
     GfpFactor,
     GfpSpan,
-    Snf,
     factor_mod_p,
     invariant_factors,
     nullspace_mod_p,
@@ -586,38 +585,35 @@ def test_solve_mod_m_matches_dense_reference_for_large_moduli(label):
                 assert got == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
 
 
-def _sparse_rows(dense):
-    return [{k: x for k, x in enumerate(row) if x} for row in dense]
-
-
-def test_solve_mod_m_on_an_snf_built_by_hand():
-    # An Snf made by hand goes through the constructor smith_normal_form
-    # uses, from S's diagonal and sparse rows of U and V; entries beyond
-    # int64 stay exact.
+def test_solve_mod_m_keeps_multipliers_beyond_int64_exact():
+    # The row log of this matrix holds a multiplier of about 5.9e21, and
+    # the solve applies it to b as a Python int.
     big = 2**70
-    made = smith_normal_form(np.array([[2, 4], [6, 8], [1, 3]]))
-    u_rows, v_rows = _sparse_rows(made.u), _sparse_rows(made.v)
-    snf = Snf.from_rows(made.diagonal(), u_rows, v_rows)
-    assert (snf.s, snf.u, snf.v) == (made.s, made.u, made.v)
-    assert snf == Snf.from_rows(made.diagonal(), u_rows, v_rows)
-    for m in (4, 6, 12):
+    a = np.array([[1, big, 3], [2, 2 * big + 1, 7], [5, 4, big + 2]], dtype=object)
+    assert max(abs(k) for k in smith_normal_form(a).row_log[0][2::3]) > 2**72
+    for m in (4, 6, 12, 2**31 - 1):
+        snf, ref = smith_normal_form(a), smith_normal_form(a)
         for b in ([0, 0, 0], [1, 2, 3], [2, 0, 1], [big, -big, 3]):
-            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
-            assert solve_mod_m(made, b, m) == solve_mod_m_reference(made, b, m)
-    # Entries congruent to U's mod 4, but far beyond int64.
-    u = [{k: x * (1 + 4 * big) for k, x in row.items()} for row in u_rows]
-    huge = Snf.from_rows(made.diagonal(), u, v_rows)
-    assert huge.u == tuple(tuple(x * (1 + 4 * big) for x in row) for row in made.u)
-    assert solve_mod_m(huge, [1, 2, 3], 4) == solve_mod_m_reference(huge, [1, 2, 3], 4)
-    # A row of U without nonzeros gives 0, not its neighbour's sum.
-    for zero_row in range(made.rows):
-        u = [{} if i == zero_row else row for i, row in enumerate(u_rows)]
-        holed = Snf.from_rows(made.diagonal(), u, v_rows)
-        assert holed.u[zero_row] == (0,) * made.rows
-        for b in ([1, 2, 3], [0, 0, 1], [3, 1, 1]):
-            assert solve_mod_m(holed, b, 4) == solve_mod_m_reference(holed, b, 4)
-    with pytest.raises(ValueError):
-        Snf.from_rows([1], u_rows, v_rows)
+            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
+        got = sample_kernel_mod_m(snf, m, random.Random(m))
+        assert got == sample_kernel_mod_m_reference(ref, m, random.Random(m))
+
+
+@pytest.mark.parametrize(
+    "a, hole",
+    (([[0, 2, 0], [0, 0, 3]], 0), ([[1, 0, 0], [0, 0, 1]], 1), ([[1, 0, 0], [0, 1, 0]], 2)),
+    ids=("first", "middle", "last"),
+)
+def test_solve_mod_m_reads_a_v_image_row_without_entries_as_zero(a, hole):
+    # Coordinate `hole` of x is touched by kernel columns of V only, so its
+    # row of V's image part has no entries: the product gives 0 there, not
+    # the next row's first product.
+    for m in (4, 6, 12, 2**31 - 1):
+        snf, ref = smith_normal_form(a), smith_normal_form(a)
+        assert hole not in snf.v_image_csr.hit_rows.tolist()
+        assert any(ref.v[hole])
+        for b in ([0, 0], [1, 2], [3, 1], [2, 5]):
+            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
 
 
 def test_snf_views_leave_fields_and_equality_alone():
@@ -647,9 +643,9 @@ def test_library_never_builds_the_dense_snf_views():
 
 
 def test_smith_form_builds_u_and_v_only_when_read():
-    # A Z2 verdict reads only the diagonal of delta^1's Smith form; a kernel
-    # draw replays the log of column operations into V, and a Z4 solve the
-    # log of row operations into U as well.
+    # A Z2 verdict reads only the diagonal of delta^1's Smith form; a Z4
+    # solve applies the row log to b and replays V's image columns only,
+    # and a kernel draw replays the full V.  No library path builds U.
     x = complex_by_label("sd1(torus7)")
     ext = builtin_extension("z4_over_z2")
     assert obstruction_class(identity_cocycle(x, ext.base), ext).trivial
@@ -657,13 +653,13 @@ def test_smith_form_builds_u_and_v_only_when_read():
     misses = _coboundary_snf.cache_info().misses
     snf = _coboundary_snf(x, 1)
     assert _coboundary_snf.cache_info().misses == misses
-    assert not {"u_csr", "v_csr"} & vars(snf).keys()
-    random_cocycle(x, cyclic_group(4), seed=5)
-    assert "v_csr" in vars(snf) and "u_csr" not in vars(snf)
+    assert not {"u_csr", "v_csr", "v_image_csr"} & vars(snf).keys()
     rng = random.Random(15)
     f = coboundary(Cochain(x, 1, Z4, [(rng.randrange(4),) for _ in range(x.dim_count(1))]))
     assert is_coboundary(f) is not None
-    assert {"u_csr", "v_csr"} <= vars(snf).keys()
+    assert "v_image_csr" in vars(snf) and not {"u_csr", "v_csr"} & vars(snf).keys()
+    random_cocycle(x, cyclic_group(4), seed=5)
+    assert "v_csr" in vars(snf) and "u_csr" not in vars(snf)
     want = smith_normal_form_reference(coboundary_matrix(x, 1))
     assert (snf.s, snf.u, snf.v) == (want["s"], want["u"], want["v"])
 
