@@ -5,20 +5,22 @@ any other (a float is not rounded); GF(p) also takes only a prime p up to
 2^31 - 1.  Over odd primes a matrix is a numpy int64 array, and
 `rref_mod_p` reduces one copy in place, mod p after every pivot's update,
 so every entry stays below p and every product below p^2 < 2^63.  Over
-GF(2) each row is one Python int, bit c for column c: elimination XORs
-whole rows, and a dot product is the parity of a bitwise AND, as in Ripser
-and PHAT.  That path returns the same int64 matrices and pivots.
+GF(2) each row is one Python int, bit c for column c, and elimination
+XORs whole rows, as in Ripser and PHAT.  That path returns the same int64
+matrices and pivots; a rank counts the pivots of its forward pass alone.
 
 A GF(p) solve goes through a `GfpFactor` of the matrix: `factor_mod_p`
 row-reduces [A | I] once, pivoting on A's columns only, and keeps the
 right block T, the product of the row operations, so each right-hand side
-b costs one product T b (over GF(2), one AND and parity per row of T).
-Callers that ask many questions of one matrix keep the factor (cochain
-caches one per complex, degree and prime), and the witness is the one a
-fresh elimination of [A | b] returns; `factor_mod_p` gives the argument.
-The cohomology basis uses the same cached factor: `GfpSpan` picks the
-representatives among the nullspace vectors of the next coboundary in the
-coordinates T gives to the quotient by the image.
+b costs one product T b.  Over GF(2) T is kept by columns, one int each,
+and T b is the XOR of the columns at b's odd entries: one big-int XOR per
+nonzero of b, a handful for a sparse obstruction.  Callers that ask many
+questions of one matrix keep the factor (cochain caches one per complex,
+degree and prime), and the witness is the one a fresh elimination of
+[A | b] returns; `factor_mod_p` gives the argument.  The cohomology basis
+uses the same cached factor: `GfpSpan` picks the representatives among
+the nullspace vectors of the next coboundary in the coordinates T gives
+to the quotient by the image.
 
 The Smith normal form works on plain Python ints, so entries can never
 overflow.  It is a sparse replay of the dense elimination kept in the
@@ -32,9 +34,10 @@ The elimination works on S alone and logs its row and column operations;
 an `Snf` keeps S's diagonal and those logs.  A rank or torsion, all a
 GF(p) verdict asks of the Smith form, reads the diagonal only.  A
 composite-modulus solve applies the row log to b itself, the product form
-of U (Dantzig and Orchard-Hays), and multiplies by V's image columns, the
-ones at nonzero diagonal entries, which it replays from the column
-operations they depend on; a kernel draw replays the full V.  V's parts
+of U (Dantzig and Orchard-Hays), skipping each operation whose source
+entry is 0, and multiplies by V's image columns, the ones at nonzero
+diagonal entries, which it replays from the column operations they
+depend on; a kernel draw replays the full V.  V's parts
 are stored as their nonzeros by rows (CSR), built on first read; no
 library path builds U, which with the dense S, U and V only tests read.
 Solves and kernel draws reduce V's values mod m once per modulus, and
@@ -159,25 +162,15 @@ def _unpack_rows(bits: Sequence[int], cols: int) -> np.ndarray:
     return out
 
 
-def _rref_gf2(m: np.ndarray, pivot_cols: Optional[int]) -> tuple[np.ndarray, list[int]]:
-    """rref_mod_p over GF(2), on one int per row.
-
-    Forward elimination keys each row on its lowest set bit among the pivot
-    columns, so every pivot row is zero left of its pivot there.  Back
-    substitution then runs from the last pivot to the first: XOR with a
-    finished pivot row clears that row's pivot bit and brings in only
-    non-pivot bits, so each pivot bit of a row costs one XOR.  The pivot
-    rows come first in column order, the rows that reduced to zero on the
-    pivot columns after them in input order.  Every step is invertible, so
-    the result is the input times an invertible matrix, and the unique RREF
-    when every column is pivoted on.  Only the int rows and the int64
-    result are full width.
-    """
-    rows, cols = m.shape
-    mask = (1 << (cols if pivot_cols is None else min(pivot_cols, cols))) - 1
+def _forward_gf2(bits: Sequence[int], mask: int) -> tuple[dict[int, int], list[int]]:
+    """Forward elimination over GF(2) on one int per row: each row is keyed
+    on its lowest set bit within `mask`, so every pivot row is zero left of
+    its pivot there.  Returns {pivot column: its row} and the rows that
+    reduced to zero within `mask`, in input order; the rank is the number
+    of pivots."""
     lead: dict[int, int] = {}  # pivot column -> the row whose lowest masked bit it is
     rest: list[int] = []
-    for v in _pack_rows(m):
+    for v in bits:
         w = v & mask
         while w:
             c = (w & -w).bit_length() - 1
@@ -189,6 +182,24 @@ def _rref_gf2(m: np.ndarray, pivot_cols: Optional[int]) -> tuple[np.ndarray, lis
             w = v & mask
         else:
             rest.append(v)
+    return lead, rest
+
+
+def _rref_gf2(m: np.ndarray, pivot_cols: Optional[int]) -> tuple[np.ndarray, list[int]]:
+    """rref_mod_p over GF(2), on one int per row.
+
+    After the forward pass (`_forward_gf2`), back substitution runs from the
+    last pivot to the first: XOR with a finished pivot row clears that
+    row's pivot bit and brings in only non-pivot bits, so each pivot bit of
+    a row costs one XOR.  The pivot rows come first in column order, the
+    rows that reduced to zero on the pivot columns after them in input
+    order.  Every step is invertible, so the result is the input times an
+    invertible matrix, and the unique RREF when every column is pivoted
+    on.  Only the int rows and the int64 result are full width.
+    """
+    rows, cols = m.shape
+    mask = (1 << (cols if pivot_cols is None else min(pivot_cols, cols))) - 1
+    lead, rest = _forward_gf2(_pack_rows(m), mask)
     pivots = sorted(lead)
     pivot_bits = 0
     for c in pivots:
@@ -250,7 +261,12 @@ def rref_mod_p(a, p: int, *, pivot_cols: Optional[int] = None) -> tuple[np.ndarr
 
 
 def rank_mod_p(a, p: int) -> int:
-    return len(rref_mod_p(a, p)[1])
+    """Rank of `a` mod the prime p.  Over GF(2) it counts the pivots of the
+    forward pass alone, with no back substitution and no int64 result."""
+    m = _gfp_matrix(a, p)
+    if p == 2:
+        return len(_forward_gf2(_pack_rows(m), (1 << m.shape[1]) - 1)[0])
+    return len(rref_mod_p(m, p)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +276,12 @@ class GfpFactor:
     T is invertible and T A mod p is the reduced row echelon form of A, with
     its pivots at the listed columns and zero rows from the rank on.  T is
     stored once: for odd primes as the int64 array `t_dense`, over GF(2)
-    as `t_bits`, one int per row with bit j for column j.  The read-only
-    `t` is that array, or over GF(2) a dense view built on first read,
-    which only tests do.
+    as `t_cols`, one int per column of T with bit i for row i.  A solve
+    reads T b and nothing else: over GF(2) the XOR of the columns at b's
+    odd entries, one big-int XOR per nonzero of b; for odd primes one
+    product with `t_dense`.  The read-only `t` (dense) and, over GF(2),
+    `t_bits` (one int per row, bit j for column j) are views derived on
+    first read, which only tests do.
     """
 
     pivots: tuple[int, ...]
@@ -270,22 +289,44 @@ class GfpFactor:
     rows: int
     cols: int
     t_dense: Optional[np.ndarray] = field(default=None, repr=False)
-    t_bits: Optional[tuple[int, ...]] = field(default=None, repr=False)
+    t_cols: Optional[tuple[int, ...]] = field(default=None, repr=False)
 
     @cached_property
     def t(self) -> np.ndarray:
         if self.t_dense is not None:
             return self.t_dense
-        t = _unpack_rows(self.t_bits, self.rows)
+        t = np.ascontiguousarray(_unpack_rows(self.t_cols, self.rows).T)
         t.setflags(write=False)
         return t
 
+    @cached_property
+    def t_bits(self) -> Optional[tuple[int, ...]]:
+        return None if self.t_cols is None else tuple(_pack_rows(self.t))
+
+    @cached_property
+    def _pivot_index(self) -> np.ndarray:
+        return np.array(self.pivots, dtype=np.intp)
+
+    def _xor_cols(self, b: np.ndarray) -> int:
+        """T b over GF(2) as an int, bit i for row i: the XOR of T's columns
+        at the odd entries of b."""
+        tb = 0
+        cols = self.t_cols
+        for j in np.flatnonzero(b & 1).tolist():
+            tb ^= cols[j]
+        return tb
+
     def _times(self, b: np.ndarray, start: int = 0) -> np.ndarray:
         """(T b)[start:] mod p, for b of integers in 0..p-1."""
-        if self.t_bits is None:
+        if self.t_cols is None:
             return _matvec_mod(self.t_dense[start:], b, self.p)
-        bits = int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
-        return np.array([(row & bits).bit_count() & 1 for row in self.t_bits[start:]], dtype=np.int64)
+        return _bits_to_array(self._xor_cols(b) >> start, self.rows - start)
+
+
+def _bits_to_array(v: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of v as an int64 0/1 array."""
+    buf = np.frombuffer(v.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(buf, count=n, bitorder="little").astype(np.int64)
 
 
 def factor_mod_p(a, p: int) -> GfpFactor:
@@ -321,7 +362,11 @@ def factor_mod_p(a, p: int) -> GfpFactor:
     reduced, pivots = rref_mod_p(small, p, pivot_cols=cols)
     del small
     if p == 2:
-        return GfpFactor(tuple(pivots), p, rows, cols, t_bits=tuple(_pack_rows(reduced[:, cols:])))
+        # T's columns are the rows of its transpose, taken from a uint8 copy
+        # of T: transposing bytes is cheaper than transposing int64 entries.
+        t_transposed = reduced[:, cols:].astype(np.uint8).T.copy()
+        del reduced
+        return GfpFactor(tuple(pivots), p, rows, cols, t_cols=tuple(_pack_rows(t_transposed)))
     t = np.ascontiguousarray(reduced[:, cols:])
     del reduced
     t.setflags(write=False)
@@ -345,7 +390,10 @@ def solve_mod_p(a: Union[GfpFactor, np.ndarray], b, p: int) -> Optional[np.ndarr
     """First solution of a x = b mod prime p (free variables set to 0), or None.
 
     `a` is the matrix or its `GfpFactor` mod p; given the matrix, it is
-    factored first.  b must hold integers.
+    factored first.  b must hold integers.  A solve reads T b only (see
+    `GfpFactor`): b is consistent when T b is zero from the rank on, and
+    then x at the pivot columns is T b below the rank.  Over GF(2) T b is
+    one int, so the test is a shift and x reads its low `rank` bits.
     """
     f = a if isinstance(a, GfpFactor) else factor_mod_p(a, p)
     if f.p != p:
@@ -353,12 +401,18 @@ def solve_mod_p(a: Union[GfpFactor, np.ndarray], b, p: int) -> Optional[np.ndarr
     rhs = _integers(np.reshape(b, -1), p)
     if rhs.shape[0] != f.rows:
         raise ValueError("right-hand side length does not match row count")
-    tb = f._times(np.asarray(rhs, dtype=np.int64) % p)
     rank = len(f.pivots)
+    x = np.zeros(f.cols, dtype=np.int64)
+    if f.t_cols is not None:
+        tb = f._xor_cols(rhs)
+        if tb >> rank:
+            return None
+        x[f._pivot_index] = _bits_to_array(tb, rank)
+        return x
+    tb = f._times(np.asarray(rhs, dtype=np.int64) % p)
     if tb[rank:].any():
         return None
-    x = np.zeros(f.cols, dtype=np.int64)
-    x[list(f.pivots)] = tb[:rank]
+    x[f._pivot_index] = tb[:rank]
     return x
 
 
@@ -549,6 +603,11 @@ class Snf:
     @cached_property
     def v_image_csr(self) -> _Csr:
         return self._v_columns(len(self.diag) - self.diag.count(0))
+
+    @cached_property
+    def _row_order(self) -> np.ndarray:
+        """The row at each final position, as an index array for solves."""
+        return np.array(self.row_log[1], dtype=np.intp)
 
     def _v_columns(self, count: int) -> _Csr:
         """V's first `count` columns, by rows: a cols x count matrix."""
@@ -767,20 +826,23 @@ def smith_normal_form(a) -> Snf:
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     """Solve A x = b (mod m) given the SNF of A; least solution, or None.
 
-    With S = U A V, solve S z = U b row by row and return x = V z.  U b is
-    the row log applied to b mod m, on Python ints, read in the final row
-    order; U itself is never built.  z is 0 wherever the diagonal is, so
-    x reads only V's image columns.
+    With S = U A V, solve S z = U b row by row and return x = V z.  A solve
+    reads the row log, the diagonal and V's image columns, nothing else.
+    U b is the row log applied to b mod m, on Python ints, skipping every
+    operation whose source entry is 0, then read in the final row order
+    (`Snf._row_order`); U itself is never built.  z is 0 wherever the
+    diagonal is, so x reads only V's image columns.
     """
     rhs = _integers(b, m, ndim=1)
     if rhs.shape[0] != snf.rows:
         raise ValueError("right-hand side length does not match row count")
     line = rhs.tolist()
-    ops, order = snf.row_log
-    step = iter(ops)
+    step = iter(snf.row_log[0])
     for dst, src, k in zip(step, step, step):
-        line[dst] = (line[dst] + k * line[src]) % m
-    ub = np.array([line[i] % m for i in order], dtype=np.int64)
+        if line[src]:
+            line[dst] = (line[dst] + k * line[src]) % m
+    # Entries never written keep b's values, which fit in int64 as b's did.
+    ub = np.array(line, dtype=np.int64)[snf._row_order] % m
     g, mm, inv = (v[: snf.rows] for v in snf._mod(m))
     if (ub % g).any():
         return None

@@ -30,6 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import CapExceededError
+
 __all__ = [
     "Simplex",
     "SimplicialComplex",
@@ -41,9 +43,15 @@ __all__ = [
     "complex_digest",
     "read_complex",
     "write_complex",
+    "MAX_SIMPLICES",
 ]
 
 Simplex = tuple[int, ...]
+
+# The most simplices a face closure may hold: 2^22, about 77 times the
+# 54,432 of sd^4(torus7).  A facet of k vertices has 2^k - 1 faces, so one
+# facet of 26 vertices alone asks for 2^26 - 1.
+MAX_SIMPLICES = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +114,10 @@ def build_complex(maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Close the given simplices under faces and put everything in canonical order.
 
     Vertex lists may arrive in any order but repeated vertices are rejected,
-    as is a vertex range with gaps.
+    as is a vertex range with gaps (ValueError).  A closure of more than
+    `MAX_SIMPLICES` simplices raises CapExceededError: before any face is
+    listed when one facet's 2^k - 1 faces alone pass it, otherwise once the
+    running closure does.
     """
     facets_in: list[Simplex] = []
     for raw in maximal:
@@ -122,21 +133,30 @@ def build_complex(maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
     if not facets_in:
         raise ValueError("a complex needs at least one simplex")
 
+    vertices = set().union(*facets_in)
+    vertex_count = max(vertices) + 1
+    if len(vertices) != vertex_count:
+        # The smallest index not used lies in 0..len(vertices).
+        first = next(v for v in range(len(vertices) + 1) if v not in vertices)
+        raise ValueError(
+            f"vertex indices must be contiguous from 0; {vertex_count - len(vertices)} "
+            f"of 0..{vertex_count - 1} missing, the first {first}"
+        )
+
+    widest = max(map(len, facets_in))
+    if 2**widest - 1 > MAX_SIMPLICES:
+        raise CapExceededError(2**widest - 1, MAX_SIMPLICES, f"face closure of a {widest}-vertex facet", "simplices")
     closure: set[Simplex] = set()
     for s in facets_in:
         for k in range(1, len(s) + 1):
             closure.update(combinations(s, k))
+        if len(closure) > MAX_SIMPLICES:
+            raise CapExceededError(len(closure), MAX_SIMPLICES, "face closure", "simplices")
 
     by_dim: dict[int, list[Simplex]] = {}
     for s in closure:
         by_dim.setdefault(len(s) - 1, []).append(s)
     simplices = {p: tuple(sorted(v)) for p, v in sorted(by_dim.items())}
-
-    vertices = {s[0] for s in simplices[0]}
-    vertex_count = max(vertices) + 1
-    if len(vertices) != vertex_count:
-        missing = sorted(set(range(vertex_count)) - vertices)
-        raise ValueError(f"vertex indices must be contiguous from 0; missing {missing}")
 
     # The closure is face-closed, so a simplex lies in a bigger one exactly
     # when it is a codimension-1 face of some simplex of the closure.

@@ -7,9 +7,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from cechlift.cochain import coboundary_matrix
 from cechlift.linalg import factor_mod_p, rref_mod_p, solve_mod_p
 from gfp_reference import rref_mod_p_reference, solve_mod_p_reference
 from oracles import gf2_rank
+from sparse import SWEEP_LABELS, sparse_rhs, sparse_sweep
+from subdivision import complex_by_label
 
 
 @st.composite
@@ -53,3 +56,32 @@ def test_gf2_rref_pivots_and_witnesses_match_references(system):
             assert x is None or x.tolist() == ref.tolist()
     assert solve_mod_p(factor, consistent, 2) is not None
     assert factor.pivots == tuple(rref_mod_p_reference(a, 2)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gf2_solves_of_sparse_right_hand_sides_match_the_reference(data):
+    # A solve XORs T's columns at b's odd entries, so zero, one-hot and
+    # nearly empty b are where it differs most from a dense product.
+    a = data.draw(systems())[0]
+    rows, cols = a.shape
+    factor = factor_mod_p(a, 2)
+    b = data.draw(sparse_rhs(rows, st.integers(-(2**40), 2**40)))
+    # A consistent sparse b: A times a vector of at most three ones.
+    x0 = data.draw(sparse_rhs(cols, st.just(1)))
+    for rhs in (b, (a @ x0) % 2):
+        ref = solve_mod_p_reference(a, rhs, 2)
+        for x in (solve_mod_p(factor, rhs, 2), solve_mod_p(a, rhs, 2)):
+            assert (x is None) == (ref is None)
+            assert x is None or x.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_gf2_solves_of_sparse_coboundary_right_hand_sides(label):
+    a = coboundary_matrix(complex_by_label(label), 1)
+    factor = factor_mod_p(a, 2)
+    for b in sparse_sweep(a):
+        ref = solve_mod_p_reference(a, b, 2)
+        x = solve_mod_p(factor, b, 2)
+        assert (x is None) == (ref is None)
+        assert x is None or x.tolist() == ref.tolist()

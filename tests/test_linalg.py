@@ -9,7 +9,15 @@ import pytest
 
 from cechlift import linalg
 from cechlift.coefgroup import Z2, AbelianGroup
-from cechlift.cochain import Cochain, _coboundary_snf, coboundary, coboundary_matrix, cohomology, is_coboundary
+from cechlift.cochain import (
+    Cochain,
+    _coboundary_factor,
+    _coboundary_snf,
+    coboundary,
+    coboundary_matrix,
+    cohomology,
+    is_coboundary,
+)
 from cechlift.errors import CapExceededError
 from cechlift.fingroup import builtin_extension, cyclic_group
 from cechlift.linalg import (
@@ -373,6 +381,19 @@ def test_gf2_factor_of_sd3_torus7_checked_with_bit_arithmetic():
             assert row & pivot_bits == 1 << c and row & ((1 << c) - 1) == 0
         else:
             assert row == 0
+
+
+def test_gf2_verdict_keeps_t_by_columns_only():
+    # A Z2-kernel verdict solves against the GF(2) factor of delta^1 and
+    # reads T's columns alone; the dense T and its rows are views that only
+    # tests derive, and they must still describe the same factor.
+    x = complex_by_label("sd1(torus7)")
+    ext = builtin_extension("z4_over_z2")
+    obstruction_class(random_cocycle(x, ext.base, 5), ext)
+    factor = _coboundary_factor(x, 1, 2)
+    assert len(factor.t_cols) == factor.rows
+    assert "t" not in vars(factor) and "t_bits" not in vars(factor)
+    _check_gf2_factor(coboundary_matrix(x, 1), factor)
 
 
 def test_nullspace_mod_p():

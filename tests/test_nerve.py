@@ -1,10 +1,18 @@
 """Simplicial complex construction, canonical ordering, and the builtins."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cechlift
+from cechlift import nerve
 from cechlift.coefgroup import Z2
+from cechlift.errors import CapExceededError
 from cechlift.cochain import Cochain, coboundary, is_coboundary
 from cechlift.nerve import (
     BUILTIN_COMPLEXES,
@@ -186,3 +194,64 @@ def test_read_complex_rejects_garbage(tmp_path):
     path.write_text("0 one 2\n")
     with pytest.raises(ValueError):
         read_complex(path)
+
+
+# --------------------------------------------------- input too big to build ----
+
+
+def _cli_under_a_gigabyte(tmp_path, line):
+    """`cechlift cohomology` on a one-line .cplx file, in a child process
+    whose address space is capped at 1 GiB, so an input that makes the
+    build run away fails the test instead of exhausting the machine."""
+    path = tmp_path / "one.cplx"
+    path.write_text(line + "\n")
+    src = str(Path(cechlift.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cechlift.cli", "cohomology", "--complex", str(path), "-p", "1", "-k", "Z2"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+
+
+def test_a_huge_vertex_index_exits_2(tmp_path):
+    # The gap check listed every missing index, 10^20 of them here.
+    proc = _cli_under_a_gigabyte(tmp_path, "0 1 99999999999999999999")
+    assert proc.returncode == 2, proc.stderr
+    assert "contiguous from 0" in proc.stderr and "the first 2" in proc.stderr
+
+
+def test_a_facet_with_too_many_faces_exits_3(tmp_path):
+    # 2^26 - 1 faces, refused before any is listed.
+    proc = _cli_under_a_gigabyte(tmp_path, " ".join(map(str, range(26))))
+    assert proc.returncode == 3, proc.stderr
+    assert "CapExceededError" in proc.stderr and str(2**26 - 1) in proc.stderr
+
+
+def test_vertex_gaps_are_named_by_the_first_and_the_count():
+    with pytest.raises(ValueError, match=r"2 of 0\.\.4 missing, the first 1"):
+        build_complex([(0, 2), (2, 4)])
+    with pytest.raises(ValueError, match=f"{10**20 - 2} of 0\\.\\.{10**20} missing, the first 2"):
+        build_complex([(0, 1, 10**20)])
+
+
+def test_face_closure_is_capped(monkeypatch):
+    with pytest.raises(CapExceededError):
+        build_complex([range(23)])
+    # Each torus7 facet has 7 faces, below this cap; the closure of all 14
+    # passes it once enough facets are in.
+    monkeypatch.setattr(nerve, "MAX_SIMPLICES", 10)
+    with pytest.raises(CapExceededError):
+        builtin_complex.__wrapped__("torus7")
+
+
+def test_the_cap_leaves_room_for_the_nerves_in_use():
+    for name in BUILTIN_COMPLEXES:
+        assert builtin_complex.__wrapped__(name).simplices == builtin_complex(name).simplices
+    x = complex_by_label("sd3(torus7)")
+    assert [x.dim_count(p) for p in range(3)] == [1512, 4536, 3024]
+    assert sum(map(len, x.simplices.values())) < nerve.MAX_SIMPLICES

@@ -21,6 +21,7 @@ from cechlift.cochain import coboundary_matrix
 from cechlift.errors import CapExceededError
 from cechlift.linalg import sample_kernel_mod_m, smith_normal_form, solve_mod_m
 from gfp_reference import sample_kernel_mod_m_reference, solve_mod_m_reference
+from sparse import SWEEP_LABELS, sparse_rhs, sparse_sweep
 from subdivision import complex_by_label
 
 MODULI = (4, 6, 8, 9, 12)
@@ -75,3 +76,30 @@ def test_solves_and_kernel_draws_match_references_on_a_ladder_rung(m):
     x0 = np.array([rng.randrange(m) for _ in range(mat.shape[1])], dtype=np.int64)
     assert _check_both_orders(mat, m, (mat @ x0 % m).tolist(), rng.randrange(1 << 30)) is not None
     _check_both_orders(mat, m, [rng.randrange(m) for _ in range(mat.shape[0])], rng.randrange(1 << 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_solves_of_sparse_right_hand_sides_match_references(system, data):
+    # A solve skips every logged row operation whose source entry is 0,
+    # which on a sparse b is most of them.
+    a, _, _, seed = system
+    try:
+        smith_normal_form(a)
+    except CapExceededError:
+        return
+    rows, cols = a.shape
+    for m in MODULI:
+        _check_both_orders(a, m, data.draw(sparse_rhs(rows, st.integers(-40, 40))).tolist(), seed)
+        x0 = data.draw(sparse_rhs(cols, st.integers(-40, 40)))
+        assert _check_both_orders(a, m, (a @ x0 % m).tolist(), seed) is not None
+
+
+@pytest.mark.parametrize("m", (4, 8))
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_solves_of_sparse_coboundary_right_hand_sides(label, m):
+    a = coboundary_matrix(complex_by_label(label), 1)
+    snf, ref = smith_normal_form(a), smith_normal_form(a)
+    for scale in (1, 2):
+        for b in sparse_sweep(a, scale):
+            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
