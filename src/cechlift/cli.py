@@ -182,11 +182,11 @@ def _render_value(lines: list, prefix: str, value) -> None:
 
 
 def _read_input(what: str, read, *args, **kwargs):
-    """read(*args, **kwargs); a domain error passes, any other error becomes
-    a CliInputError that starts with `what`."""
+    """read(*args, **kwargs); a domain error or a MemoryError passes, any
+    other error becomes a CliInputError that starts with `what`."""
     try:
         return read(*args, **kwargs)
-    except _DOMAIN_ERRORS:
+    except (*_DOMAIN_ERRORS, MemoryError):
         raise
     except Exception as exc:
         raise CliInputError(f"{what}: {exc}") from exc

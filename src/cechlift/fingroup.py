@@ -6,6 +6,13 @@ capped at 256; everything bigger is out of scope here.  Extensions carry
 the projection, the abelian kernel and its embedding, and are verified
 end to end when built (and again when loaded from files).
 
+Tables and maps are built by whole-table numpy gathers, not element by
+element: a product's table from one gather per component table, a
+quotient's from the coset of each entry of its representatives' rows, an
+extension's fibers and kernel lookup from its index tables.  Verification
+stays exhaustive: associativity on every triple, identity and inverses,
+homomorphism, embedding and centrality on every pair.
+
 Each object is built and verified once: direct_product caches the product
 of each tuple of component groups, an extension keeps its canonical section
 and a section its table.
@@ -106,6 +113,15 @@ def pack_rows(orders: Sequence[int], rows: np.ndarray) -> np.ndarray:
     return idx
 
 
+def pack_product(orders: Sequence[int], maps: Sequence[Sequence[int]]) -> np.ndarray:
+    """pack_tuple of every tuple of itertools.product(*maps), in that order,
+    as an int64 array."""
+    idx = np.zeros(1, dtype=np.int64)
+    for o, m in zip(orders, maps):
+        idx = (idx[:, None] * o + np.asarray(m, dtype=np.int64)[None, :]).ravel()
+    return idx
+
+
 def unpack_tuple(orders: Sequence[int], idx: int) -> tuple[int, ...]:
     out = []
     for o in reversed(orders):
@@ -196,34 +212,33 @@ def make_group(table, names: Optional[Sequence[str]] = None) -> FiniteGroup:
         raise NotAGroupError("table entries must index elements")
 
     for c in range(n):
-        left = t[t[:, :], c]
-        right = t[:, t[:, c]]
+        col = t[:, c]
+        left = col.take(t)  # (ab)c
+        right = t.take(col, axis=1)  # a(bc)
         if not np.array_equal(left, right):
             bad = np.argwhere(left != right)[0]
             a, b = int(bad[0]), int(bad[1])
             raise NotAGroupError("associativity fails", witness=(a, b, c))
 
+    # The first e whose row and column are both the identity permutation.
     idx = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
-            identity = e
-            break
-    if identity is None:
+    two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NotAGroupError("no two-sided identity element")
+    identity = int(two_sided.argmax())
 
-    inverse = []
-    for a in range(n):
-        hits = np.nonzero(t[a] == identity)[0]
-        if hits.size == 0 or t[int(hits[0]), a] != identity:
-            raise NotAGroupError("no two-sided inverse", witness=a)
-        inverse.append(int(hits[0]))
+    # inverse[a] is the first b with ab = e; it must also have ba = e.
+    is_e = t == identity
+    inverse = is_e.argmax(axis=1)
+    bad = np.flatnonzero(~is_e.any(axis=1) | (t[inverse, idx] != identity))
+    if bad.size:
+        raise NotAGroupError("no two-sided inverse", witness=int(bad[0]))
 
     frozen_names = tuple(str(x) for x in names) if names is not None else None
     if frozen_names is not None and len(frozen_names) != n:
         raise ValueError("need one name per element")
     t.setflags(write=False)
-    return FiniteGroup(order=n, table=t, identity=identity, inverse=tuple(inverse), names=frozen_names)
+    return FiniteGroup(order=n, table=t, identity=identity, inverse=tuple(inverse.tolist()), names=frozen_names)
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +290,11 @@ def direct_product(groups: Sequence[FiniteGroup]) -> tuple[FiniteGroup, tuple[Gr
     """Componentwise product group, plus the injections and projections.
 
     Elements pack mixed-radix with the last factor varying fastest, matching
-    itertools.product over the component element ranges.  The same group
-    objects give back the same product and homomorphisms.
+    itertools.product over the component element ranges.  The table is
+    packed from one gather per component table over the element grid, and
+    the maps from the same component index arrays; make_group then
+    verifies it in full.  The same group objects give back the same
+    product and homomorphisms.
     """
     return _direct_product(tuple(groups))
 
@@ -292,26 +310,30 @@ def _direct_product(groups: tuple[FiniteGroup, ...]):
     if total > MAX_GROUP_ORDER:
         raise ValueError(f"product order {total} exceeds cap {MAX_GROUP_ORDER}")
 
-    tuples = list(itertools.product(*(range(n) for n in orders)))
-    index = {t: i for i, t in enumerate(tuples)}
-    table = [
-        [index[tuple(g.mul(a[i], b[i]) for i, g in enumerate(groups))] for b in tuples]
-        for a in tuples
-    ]
+    # comps[i][x] is component i of product element x; the table is packed
+    # mixed-radix, one gather from each component table.
+    strides = []
+    stride = total
+    for n in orders:
+        stride //= n
+        strides.append(stride)
+    idx = np.arange(total)
+    comps = [idx // s % n for s, n in zip(strides, orders)]
+    table = np.zeros((total, total), dtype=np.int64)
+    for g, c in zip(groups, comps):
+        table = table * g.order + g.table[c[:, None], c[None, :]]
     names = None
     if all(g.names for g in groups):
-        names = [",".join(g.name_of(t[i]) for i, g in enumerate(groups)) for t in tuples]
+        names = [",".join(parts) for parts in itertools.product(*(g.names for g in groups))]
     prod = make_group(table, names=names)
 
+    identity = pack_tuple(orders, [g.identity for g in groups])
     injections = []
     projections = []
-    for i, g in enumerate(groups):
-        inj_map = []
-        for a in range(g.order):
-            t = tuple(a if j == i else groups[j].identity for j in range(len(groups)))
-            inj_map.append(index[t])
-        injections.append(GroupHom(g, prod, tuple(inj_map)))
-        projections.append(GroupHom(prod, g, tuple(t[i] for t in tuples)))
+    for g, c, stride in zip(groups, comps, strides):
+        inj_map = identity + (np.arange(g.order) - g.identity) * stride
+        injections.append(GroupHom(g, prod, tuple(inj_map.tolist())))
+        projections.append(GroupHom(prod, g, tuple(c.tolist())))
     return prod, tuple(injections), tuple(projections)
 
 
@@ -353,35 +375,29 @@ class GroupHom:
 class CentralExtension:
     """Surjection projection: total -> base whose kernel is the central image
     of the abelian group `kernel` under `embed` (indexed by the kernel's
-    canonical element enumeration)."""
+    canonical element enumeration).
+
+    Fibers, the kernel lookup and the canonical section are read from the
+    index tables below when asked for; make_extension verifies the
+    extension on every pair before one is built."""
 
     total: FiniteGroup
     base: FiniteGroup
     projection: GroupHom
     kernel: AbelianGroup
     embed: tuple[int, ...]
-    _fibers: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    _kernel_of: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        fibers = [[] for _ in range(self.base.order)]
-        for x in range(self.total.order):
-            fibers[self.projection(x)].append(x)
-        object.__setattr__(self, "_fibers", tuple(tuple(f) for f in fibers))
-        lookup = {}
-        for elem, x in zip(self.kernel.elements(), self.embed):
-            lookup[x] = elem
-        object.__setattr__(self, "_kernel_of", lookup)
 
     def fiber(self, b: int) -> tuple[int, ...]:
-        return self._fibers[b]
+        """Total elements over base element b, ascending."""
+        b = range(self.base.order)[b]  # IndexError out of range, as a tuple lookup
+        return tuple(np.flatnonzero(self.projection_table == b).tolist())
 
     def kernel_element_of(self, x: int) -> tuple[int, ...]:
         """Inverse of the kernel embedding; only defined on the embedded kernel."""
-        try:
-            return self._kernel_of[x]
-        except KeyError:
-            raise ValueError(f"element {x} is not in the embedded kernel") from None
+        i = self.kernel_index_table[x] if 0 <= x < self.total.order else -1
+        if i < 0:
+            raise ValueError(f"element {x} is not in the embedded kernel")
+        return tuple(self.kernel_rows[i].tolist())
 
     def embed_element(self, k: Sequence[int]) -> int:
         return self.embed[self.kernel.element_index(k)]
@@ -404,8 +420,7 @@ class CentralExtension:
     @cached_property
     def kernel_rows(self) -> np.ndarray:
         """Kernel elements as residue rows, in canonical order: kernel.order x rank."""
-        rows = np.array(list(self.kernel.elements()), dtype=np.int64)
-        rows = rows.reshape(self.kernel.order, self.kernel.rank)
+        rows = _element_rows(self.kernel)
         rows.setflags(write=False)
         return rows
 
@@ -416,9 +431,27 @@ class CentralExtension:
 
     @cached_property
     def _canonical_section(self) -> "Section":
-        choice = [min(self.fiber(b)) for b in range(self.base.order)]
+        # np.unique's indices are first occurrences: the least of each fiber.
+        _, choice = np.unique(self.projection_table, return_index=True)
         choice[self.base.identity] = self.total.identity
-        return Section(self, tuple(choice))
+        return Section(self, tuple(choice.tolist()))
+
+
+def _element_rows(kernel: AbelianGroup) -> np.ndarray:
+    """The kernel's elements as residue rows, in canonical order."""
+    rows = np.array(list(kernel.elements()), dtype=np.int64)
+    return rows.reshape(kernel.order, kernel.rank)
+
+
+def _first_noncentral(group: FiniteGroup, elems: np.ndarray) -> Optional[tuple[int, int]]:
+    """(x, g) for the first x of elems that does not commute with every
+    element, and the first such g; None when all of elems are central."""
+    differs = group.table[elems] != group.table[:, elems].T
+    bad = np.flatnonzero(differs.any(axis=1))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return int(elems[i]), int(np.flatnonzero(differs[i])[0])
 
 
 def _frozen(values: Sequence[int]) -> np.ndarray:
@@ -457,22 +490,24 @@ def make_extension(
         stray = sorted(fiber_e.symmetric_difference(embed))
         raise KernelMismatchError(f"embedded kernel differs from the identity fiber at {stray}")
 
-    elems = list(kernel.elements())
-    pos = {k: i for i, k in enumerate(elems)}
-    if embed[pos[kernel.zero()]] != total.identity:
+    if embed[kernel.element_index(kernel.zero())] != total.identity:
         raise KernelMismatchError("kernel zero must embed to the total identity")
-    for a in elems:
-        for b in elems:
-            lhs = total.mul(embed[pos[a]], embed[pos[b]])
-            if lhs != embed[pos[kernel.add(a, b)]]:
-                raise KernelMismatchError(f"embedding is not a homomorphism at {a}, {b}")
+    # embed[a] * embed[b] against embed[a + b] on every pair, row-major.
+    emb = np.array(embed, dtype=np.int64)
+    k = len(emb)
+    rows = _element_rows(kernel)
+    sums = (rows[:, None, :] + rows[None, :, :]) % np.array(kernel.factors, dtype=np.int64)
+    sum_index = pack_rows(kernel.factors, sums.reshape(k * k, kernel.rank)).reshape(k, k)
+    bad = np.argwhere(total.table[emb[:, None], emb[None, :]] != emb[sum_index])
+    if bad.size:
+        elems = list(kernel.elements())
+        a, b = elems[bad[0][0]], elems[bad[0][1]]
+        raise KernelMismatchError(f"embedding is not a homomorphism at {a}, {b}")
 
-    for x in embed:
-        if not np.array_equal(total.table[x], total.table[:, x]):
-            g = int(np.nonzero(total.table[x] != total.table[:, x])[0][0])
-            raise NotCentralError(
-                f"embedded kernel element {x} does not commute with element {g}"
-            )
+    noncentral = _first_noncentral(total, emb)
+    if noncentral is not None:
+        x, g = noncentral
+        raise NotCentralError(f"embedded kernel element {x} does not commute with element {g}")
     return CentralExtension(total=total, base=base, projection=proj, kernel=kernel, embed=embed)
 
 
@@ -541,7 +576,10 @@ def quotient_by_central(group: FiniteGroup, subgroup: Sequence[int]) -> tuple[Fi
     """Quotient by a central subgroup; returns the coset group and the projection.
 
     Cosets are ordered by their least member, so quotienting by the trivial
-    subgroup reproduces the original table.
+    subgroup reproduces the original table.  The subgroup's closure is
+    checked pair by pair and its centrality on every element; the cosets
+    and the table are then gathers (each x's least member is the minimum
+    of x * subgroup), and make_group verifies the table in full.
     """
     sub = sorted(set(int(x) for x in subgroup))
     if group.identity not in sub:
@@ -553,27 +591,21 @@ def quotient_by_central(group: FiniteGroup, subgroup: Sequence[int]) -> tuple[Fi
         for b in sub:
             if group.mul(a, b) not in subset:
                 raise NotSubgroupError(f"subgroup not closed under product at ({a}, {b})")
-    for a in sub:
-        if not np.array_equal(group.table[a], group.table[:, a]):
-            g = int(np.nonzero(group.table[a] != group.table[:, a])[0][0])
-            raise NotCentralError(f"subgroup element {a} does not commute with {g}")
+    noncentral = _first_noncentral(group, np.array(sub, dtype=np.int64))
+    if noncentral is not None:
+        a, g = noncentral
+        raise NotCentralError(f"subgroup element {a} does not commute with {g}")
 
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in range(group.order):
-        if x in coset_of:
-            continue
-        members = sorted(group.mul(x, s) for s in sub)
-        cid = len(reps)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = cid
-    table = [[coset_of[group.mul(a, b)] for b in reps] for a in reps]
+    # Each coset's least member, for every element; the distinct ones,
+    # ascending, are the representatives, and coset[x] is x's coset.
+    least = group.table[:, sub].min(axis=1)
+    reps, coset = np.unique(least, return_inverse=True)
+    table = coset[group.table[reps[:, None], reps[None, :]]]
     names = None
     if group.names:
-        names = [group.name_of(r) + "N" for r in reps]
+        names = [group.name_of(r) + "N" for r in reps.tolist()]
     q = make_group(table, names=names)
-    proj = GroupHom(group, q, tuple(coset_of[x] for x in range(group.order)))
+    proj = GroupHom(group, q, tuple(coset.tolist()))
     return q, proj
 
 

@@ -29,7 +29,6 @@ is exact for factors up to 2^31 - 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -47,8 +46,8 @@ from .fingroup import (
     canonical_section,
     direct_product,
     make_extension,
+    pack_product,
     pack_rows,
-    pack_tuple,
     quotient_by_central,
 )
 from .linalg import _matvec_mod, rank_mod_p
@@ -105,17 +104,16 @@ def product_extension(
     # components' elements, last factor fastest.
     total_orders = [e.total.order for e in exts]
     base_orders = [e.base.order for e in exts]
-    proj_map = [pack_tuple(base_orders, t) for t in itertools.product(*(e.projection.map for e in exts))]
-    embed = [pack_tuple(total_orders, t) for t in itertools.product(*(e.embed for e in exts))]
-    ext = make_extension(total, base, proj_map, kernel, embed)
+    proj_map = pack_product(base_orders, [e.projection_table for e in exts])
+    embed = pack_product(total_orders, [e.embed_table for e in exts])
+    ext = make_extension(total, base, proj_map.tolist(), kernel, embed.tolist())
     return ext, _product_section(ext, sections)
 
 
 def _product_section(prod: CentralExtension, sections: Sequence[Section]) -> Section:
     """The componentwise section of the product of the sections' extensions."""
     orders = [s.extension.total.order for s in sections]
-    values = itertools.product(*(s.map for s in sections))
-    return Section(prod, tuple(pack_tuple(orders, t) for t in values))
+    return Section(prod, tuple(pack_product(orders, [s.table for s in sections]).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,20 +175,26 @@ def _fused_default(exts: tuple[CentralExtension, ...], fusion: AbelianHom) -> Fu
         raise ValueError("fusion hom must be surjective")
 
     prod_ext, prod_section = product_extension(exts)
-    collapsed = [prod_ext.embed_element(k) for k in fusion.kernel_elements()]
-    quotient, to_quotient = quotient_by_central(prod_ext.total, collapsed)
-
-    proj_map = [0] * quotient.order
-    for x, cid in enumerate(to_quotient.map):
-        proj_map[cid] = prod_ext.projection(x)
-
+    # Index in fusion.codomain of the image of each element of the summed
+    # kernels, in canonical order.
     target = fusion.codomain
-    embed = []
-    for k in target.elements():
-        preimage = next(a for a in fusion.domain.elements() if fusion(a) == k)
-        embed.append(to_quotient(prod_ext.embed_element(preimage)))
+    images = np.array(fusion.images, dtype=np.int64).reshape(fusion.domain.rank, target.rank)
+    moduli = np.array(target.factors, dtype=np.int64)
+    image_rows = _matvec_mod(images.T, prod_ext.kernel_rows.T, moduli[:, None]).T
+    image_index = pack_rows(target.factors, image_rows)
+    collapsed = prod_ext.embed_table[image_index == 0]
+    quotient, to_quotient = quotient_by_central(prod_ext.total, collapsed.tolist())
+    coset = np.array(to_quotient.map, dtype=np.int64)
 
-    fused = make_extension(quotient, prod_ext.base, proj_map, target, embed)
+    # Both maps are constant on what they scatter together: projection on
+    # each coset of the collapsed kernel, and the embedded coset on each
+    # fiber of the fusion.
+    proj_map = np.zeros(quotient.order, dtype=np.int64)
+    proj_map[coset] = prod_ext.projection_table
+    embed = np.zeros(target.order, dtype=np.int64)
+    embed[image_index] = coset[prod_ext.embed_table]
+
+    fused = make_extension(quotient, prod_ext.base, proj_map.tolist(), target, embed.tolist())
     return FusedExtension(
         components=exts,
         fusion=fusion,
@@ -198,7 +202,7 @@ def _fused_default(exts: tuple[CentralExtension, ...], fusion: AbelianHom) -> Fu
         product_section=prod_section,
         fused=fused,
         coset_map=to_quotient,
-        section=Section(fused, tuple(map(to_quotient, prod_section.map))),
+        section=Section(fused, tuple(coset[prod_section.table].tolist())),
     )
 
 

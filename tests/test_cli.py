@@ -298,6 +298,23 @@ def test_smith_form_entry_bound_exits_three(capsys, monkeypatch, tmp_path):
     assert out == ""
 
 
+def test_memory_error_while_reading_exits_three(capsys, monkeypatch, tmp_path):
+    # A file too big for the address space fails in the reader; that is a
+    # resource failure with a name, not an unreadable file with no reason.
+    cpath = tmp_path / "torus.cplx"
+    write_complex(cpath, builtin_complex("torus7"))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("cechlift.cli.read_complex", exhausted)
+    rc, out, err = run_cli(capsys, "cohomology", "--complex", str(cpath), "-p", "1", "-k", "Z2")
+    assert rc == EXIT_SEMANTIC
+    assert err.startswith("error: MemoryError")
+    assert "cannot read" not in err
+    assert out == ""
+
+
 def test_cap_env_var_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("CECHLIFT_CAP", "10")
     rc, out, err = run_cli(
