@@ -39,15 +39,6 @@ class RefGroup:
     inverse: tuple
     names: Optional[tuple]
 
-    def mul(self, a, b):
-        return int(self.table[a, b])
-
-    def inv(self, a):
-        return self.inverse[a]
-
-    def name_of(self, a):
-        return self.names[a] if self.names else str(a)
-
 
 def make_group_reference(table, names=None) -> RefGroup:
     t = np.asarray(table, dtype=np.int64)
