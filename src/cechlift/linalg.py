@@ -27,22 +27,22 @@ overflow.  It is a sparse replay of the dense elimination kept in the
 tests as the reference: S rows are dicts of nonzeros, rows and columns
 move through position tables, and a column-to-rows index lets each step
 touch only nonzero entries.  The operations and their order are the
-reference's, so S, U and V equal its entry for entry.  On dense matrices
-those entries can grow exponentially, so the elimination stops with
-`CapExceededError` once a pivot or quotient passes `_SNF_MAX_BITS` bits.
-The elimination works on S alone and logs its row and column operations;
-an `Snf` keeps S's diagonal and those logs.  A rank or torsion, all a
-GF(p) verdict asks of the Smith form, reads the diagonal only.  A
-composite-modulus solve applies the row log to b itself, the product form
-of U (Dantzig and Orchard-Hays), skipping each operation whose source
-entry is 0, and multiplies by V's image columns, the ones at nonzero
-diagonal entries, which it replays from the column operations they
-depend on; a kernel draw replays the full V.  V's parts
-are stored as their nonzeros by rows (CSR), built on first read; no
-library path builds U, which with the dense S, U and V only tests read.
-Solves and kernel draws reduce V's values mod m once per modulus, and
-each product is one gather and one `np.add.reduceat` over 16-bit limbs,
-exact in int64 for m up to 2^31.
+reference's, so S, and U and V replayed from its logs, equal the
+reference's entry for entry.  On dense matrices those entries can grow
+exponentially, so the elimination stops with `CapExceededError` once a
+pivot or quotient passes `_SNF_MAX_BITS` bits.  The elimination works on
+S alone and logs its row and column operations; an `Snf` keeps S's
+diagonal and those logs.  A rank or torsion, all a GF(p) verdict asks of
+the Smith form, reads the diagonal only.  A composite-modulus solve
+applies the row log to b itself, the product form of U (Dantzig and
+Orchard-Hays), skipping each operation whose source entry is 0, and
+multiplies by V's image columns, the ones at nonzero diagonal entries,
+which it replays from the column operations they depend on; a kernel
+draw replays the full V.  V's parts are stored as their nonzeros by rows
+(CSR), built on first read; no library path builds U.  Solves and kernel
+draws take a modulus m in 1..2^31 - 1, reduce V's values mod m once per
+modulus, and each product is one gather and one `np.add.reduceat` over
+16-bit limbs, exact in int64 for such m.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ __all__ = [
 # temporaries to a block of rows instead of the whole matrix.
 _BLOCK_ROWS = 64
 
-# The largest prime GF(p) takes: every product of two residues, and every
-# 16-bit limb product in _matvec_mod, then stays exact in int64.
+# The largest prime GF(p) takes, and the largest modulus of a Smith-form
+# solve: every product of two residues, and every 16-bit limb product in
+# _matvec_mod and _Csr.matvec_mod, then stays exact in int64.
 _MAX_PRIME = 2**31 - 1
 
 
@@ -279,9 +280,7 @@ class GfpFactor:
     as `t_cols`, one int per column of T with bit i for row i.  A solve
     reads T b and nothing else: over GF(2) the XOR of the columns at b's
     odd entries, one big-int XOR per nonzero of b; for odd primes one
-    product with `t_dense`.  The read-only `t` (dense) and, over GF(2),
-    `t_bits` (one int per row, bit j for column j) are views derived on
-    first read, which only tests do.
+    product with the read-only `t_dense`.
     """
 
     pivots: tuple[int, ...]
@@ -290,18 +289,6 @@ class GfpFactor:
     cols: int
     t_dense: Optional[np.ndarray] = field(default=None, repr=False)
     t_cols: Optional[tuple[int, ...]] = field(default=None, repr=False)
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        if self.t_dense is not None:
-            return self.t_dense
-        t = np.ascontiguousarray(_unpack_rows(self.t_cols, self.rows).T)
-        t.setflags(write=False)
-        return t
-
-    @cached_property
-    def t_bits(self) -> Optional[tuple[int, ...]]:
-        return None if self.t_cols is None else tuple(_pack_rows(self.t))
 
     @cached_property
     def _pivot_index(self) -> np.ndarray:
@@ -470,8 +457,7 @@ class GfpSpan:
 @dataclass(frozen=True, eq=False)
 class _Csr:
     """Nonzeros of a matrix by rows: the rows that have any, the offset of
-    each such row's first entry, and every entry's column and exact value.
-    Two are equal when built from the same rows, entries in the same order."""
+    each such row's first entry, and every entry's column and exact value."""
 
     hit_rows: np.ndarray
     starts: np.ndarray
@@ -488,23 +474,6 @@ class _Csr:
         hit_rows = np.flatnonzero(counts)
         starts = (np.cumsum(counts) - counts)[hit_rows]
         return cls(hit_rows=hit_rows, starts=starts, columns=columns, values=values, rows=len(rows))
-
-    def _key(self) -> tuple:
-        return (self.rows, self.hit_rows.tobytes(), self.starts.tobytes(), self.columns.tobytes(), self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Csr) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def dense(self, width: int) -> tuple[tuple[int, ...], ...]:
-        """The matrix as a tuple of rows, each `width` entries long."""
-        out = [[0] * width for _ in range(self.rows)]
-        counts = np.diff(np.append(self.starts, self.columns.size))
-        for r, c, x in zip(np.repeat(self.hit_rows, counts).tolist(), self.columns.tolist(), self.values):
-            out[r][c] = x
-        return tuple(map(tuple, out))
 
     @cached_property
     def _by_modulus(self) -> dict[int, np.ndarray]:
@@ -527,17 +496,6 @@ class _Csr:
             lo = np.add.reduceat(values * (xs & 0xFFFF), self.starts) % m
             out[self.hit_rows] = (hi * 0x10000 + lo) % m
         return out
-
-
-def _axpy(dst: dict, src: dict, k: int) -> None:
-    """dst += k * src for sparse vectors stored as {index: nonzero entry}; k != 0.
-    dst may be src: each entry is then scaled by 1 + k in place."""
-    for key, x in src.items():
-        y = dst.get(key, 0) + k * x
-        if y:
-            dst[key] = y
-        else:
-            del dst[key]
 
 
 # The log of a Smith form's row or column operations: `ops` holds three ints
@@ -567,11 +525,18 @@ def _replay(ops: list[int], order: tuple[int, ...], count: Optional[int] = None)
     lines = {i: {i: 1} for i in needed}
     for at in reversed(marked):
         dst, src, k = ops[at : at + 3]
-        _axpy(lines[dst], lines[src], k)
+        line = lines[dst]
+        # line dst += k * line src; (i, i, -2) negates line i in place.
+        for key, x in lines[src].items():
+            y = line.get(key, 0) + k * x
+            if y:
+                line[key] = y
+            else:
+                del line[key]
     return [lines[i] for i in wanted]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Snf:
     """S = U A V with U, V unimodular; S diagonal with divisibility down the diagonal.
 
@@ -580,21 +545,16 @@ class Snf:
     diagonal alone.  A solve applies the row log to its right-hand side
     and reads `v_image_csr`, V's columns at the nonzero diagonal entries; a
     kernel draw reads the full V, `v_csr`.  Both are cached properties
-    replayed from the column log on first read.  U as a matrix, `u_csr`,
-    is replayed only for equality and hashing, which compare rows, cols,
-    diag, U and V, and for the dense `s`, `u` and `v`: read-only views
-    built on first read, which no library path does.
+    replayed from the column log on first read.  Equality compares the
+    fields, logs included, and the hash covers rows, cols and diag, so
+    neither replays anything.
     """
 
     rows: int
     cols: int
     diag: tuple[int, ...]
-    row_log: _OpLog = field(repr=False)
-    col_log: _OpLog = field(repr=False)
-
-    @cached_property
-    def u_csr(self) -> _Csr:
-        return _Csr.from_rows(_replay(*self.row_log))
+    row_log: _OpLog = field(repr=False, hash=False)
+    col_log: _OpLog = field(repr=False, hash=False)
 
     @cached_property
     def v_csr(self) -> _Csr:
@@ -617,32 +577,11 @@ class Snf:
                 vrow[i][j] = x
         return _Csr.from_rows(vrow)
 
-    def _key(self) -> tuple:
-        return (self.rows, self.cols, self.diag, self.u_csr, self.v_csr)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Snf) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def diagonal(self) -> list[int]:
         return list(self.diag)
 
     def torsion(self) -> list[int]:
         return [d for d in self.diag if d > 1]
-
-    @cached_property
-    def s(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.diag[i] if i == j else 0 for j in range(self.cols)) for i in range(self.rows))
-
-    @cached_property
-    def u(self) -> tuple[tuple[int, ...], ...]:
-        return self.u_csr.dense(self.rows)
-
-    @cached_property
-    def v(self) -> tuple[tuple[int, ...], ...]:
-        return self.v_csr.dense(self.cols)
 
     @cached_property
     def _by_modulus(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -823,6 +762,13 @@ def smith_normal_form(a) -> Snf:
     return Snf(rows, cols, diag, (row_ops, tuple(row_at)), (col_ops, tuple(col_at)))
 
 
+def _modulus(m) -> int:
+    """m as an int; ValueError unless it is an integer in 1..2^31 - 1."""
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= _MAX_PRIME):
+        raise ValueError(f"a modulus must be an integer in 1..2^31 - 1, got {m!r}")
+    return int(m)
+
+
 def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     """Solve A x = b (mod m) given the SNF of A; least solution, or None.
 
@@ -831,8 +777,10 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     U b is the row log applied to b mod m, on Python ints, skipping every
     operation whose source entry is 0, then read in the final row order
     (`Snf._row_order`); U itself is never built.  z is 0 wherever the
-    diagonal is, so x reads only V's image columns.
+    diagonal is, so x reads only V's image columns.  m must be an integer
+    in 1..2^31 - 1.
     """
+    m = _modulus(m)
     rhs = _integers(b, m, ndim=1)
     if rhs.shape[0] != snf.rows:
         raise ValueError("right-hand side length does not match row count")
@@ -852,7 +800,9 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
 
 def sample_kernel_mod_m(snf: Snf, m: int, rng) -> list[int]:
     """Uniform random solution of A x = 0 (mod m) given the SNF of A: V z
-    for a random z with S z = 0 (mod m), through the full V."""
+    for a random z with S z = 0 (mod m), through the full V; m as for
+    `solve_mod_m`."""
+    m = _modulus(m)
     g, mm, _ = snf._mod(m)
     # solutions of d z = 0 mod m are the multiples of m/g
     steps = zip(g[: snf.cols].tolist(), mm[: snf.cols].tolist())

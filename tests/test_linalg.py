@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cechlift import linalg
+from cechlift import cochain, linalg
 from cechlift.coefgroup import Z2, AbelianGroup
 from cechlift.cochain import (
     Cochain,
@@ -35,6 +35,7 @@ from cechlift.linalg import (
 )
 from cechlift.nerve import BUILTIN_COMPLEXES
 from cechlift.obstruct import identity_cocycle, obstruction_class, random_cocycle
+from dense_views import check_selective_replay, dense_snf, dense_t
 from gfp_reference import (
     rref_mod_p_reference,
     sample_kernel_mod_m_reference,
@@ -153,8 +154,11 @@ def test_solve_mod_p_matches_dense_reference_on_coboundaries(label):
         mat = coboundary_matrix(x, degree)
         for p in (2, 3, 2**31 - 1):
             factor = factor_mod_p(mat, p)
-            assert factor.t.shape == (mat.shape[0], mat.shape[0])
-            assert not factor.t.flags.writeable
+            assert dense_t(factor).shape == (mat.shape[0], mat.shape[0])
+            if p == 2:
+                assert factor.t_dense is None and len(factor.t_cols) == mat.shape[0]
+            else:
+                assert not factor.t_dense.flags.writeable
             for consistent in (True, False, True):
                 if consistent:
                     x0 = np.array([rng.randrange(p) for _ in range(mat.shape[1])], dtype=object)
@@ -179,7 +183,7 @@ def test_factor_mod_p_matches_dense_reference_on_tall_systems(p):
         assert list(factor.pivots) == rref_mod_p(a, p)[1]
         # T A is A's reduced row echelon form with zero rows from the rank on.
         rank = len(factor.pivots)
-        ta = (factor.t.astype(object) @ (a.astype(object) % p)) % p
+        ta = (dense_t(factor).astype(object) @ (a.astype(object) % p)) % p
         assert (ta[:rank] == rref_mod_p(a, p)[0][:rank]).all() and not ta[rank:].any()
         assert _same_solution(solve_mod_p(factor, b, p), solve_mod_p_reference(a, b, p))
 
@@ -276,7 +280,7 @@ def test_gfp_entry_points_take_integer_types_too_narrow_for_p(dtype, p):
     assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
     assert rank_mod_p(a, p) == rank_mod_p(wide, p)
     got, want = factor_mod_p(a, p), factor_mod_p(wide, p)
-    assert got.pivots == want.pivots and got.t.tolist() == want.t.tolist()
+    assert got.pivots == want.pivots and dense_t(got).tolist() == dense_t(want).tolist()
     assert [v.tolist() for v in nullspace_mod_p(a, p)] == [v.tolist() for v in nullspace_mod_p(wide, p)]
     for b in (np.array([1, 2, 5]), np.array([1, 1, 0])):
         narrow_b = b.astype(dtype)
@@ -335,11 +339,12 @@ def _check_gf2_factor(a, factor):
     want, pivots = rref_mod_p_reference(a, 2)
     rank = len(pivots)
     assert factor.pivots == tuple(pivots)
-    assert factor.t.shape == (rows, rows) and not factor.t.flags.writeable
-    ta = (factor.t @ (a % 2)) % 2
+    assert factor.t_dense is None and len(factor.t_cols) == rows
+    t = dense_t(factor)
+    assert t.shape == (rows, rows)
+    ta = (t @ (a % 2)) % 2
     assert np.array_equal(ta[:rank], want[:rank]) and not ta[rank:].any()
-    assert gf2_rank(_bitmask_rows(factor.t)) == rows
-    assert factor.t_bits == tuple(_bitmask_rows(factor.t))
+    assert gf2_rank(_bitmask_rows(t)) == rows
 
 
 def test_gf2_factor_matches_dense_reference():
@@ -365,9 +370,12 @@ def test_gf2_factor_of_sd3_torus7_checked_with_bit_arithmetic():
     factor = factor_mod_p(a, 2)
     rank = len(factor.pivots)
     assert rank == gf2_rank(bitrows)
-    assert gf2_rank(list(factor.t_bits)) == a.shape[0]
+    # T's rows as ints, bit j for column j.
+    packed = np.packbits(dense_t(factor).astype(np.uint8), axis=1, bitorder="little")
+    t_rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    assert gf2_rank(t_rows) == a.shape[0]
     pivot_bits = sum(1 << c for c in factor.pivots)
-    for i, t_row in enumerate(factor.t_bits):
+    for i, t_row in enumerate(t_rows):
         # Row i of T A: the XOR of A's rows that row i of T picks.
         row, rest = 0, t_row
         while rest:
@@ -385,15 +393,23 @@ def test_gf2_factor_of_sd3_torus7_checked_with_bit_arithmetic():
 
 def test_gf2_verdict_keeps_t_by_columns_only():
     # A Z2-kernel verdict solves against the GF(2) factor of delta^1 and
-    # reads T's columns alone; the dense T and its rows are views that only
-    # tests derive, and they must still describe the same factor.
+    # reads T's columns alone; the dense T that tests unpack from them
+    # must still describe the same factor.
     x = complex_by_label("sd1(torus7)")
     ext = builtin_extension("z4_over_z2")
     obstruction_class(random_cocycle(x, ext.base, 5), ext)
-    factor = _coboundary_factor(x, 1, 2)
-    assert len(factor.t_cols) == factor.rows
-    assert "t" not in vars(factor) and "t_bits" not in vars(factor)
-    _check_gf2_factor(coboundary_matrix(x, 1), factor)
+    _check_gf2_factor(coboundary_matrix(x, 1), _coboundary_factor(x, 1, 2))
+
+
+def test_factor_and_smith_form_hold_no_dense_views():
+    # Dense T, S, U and V are built by tests (dense_views), never held.
+    snf = smith_normal_form([[2, 4], [6, 8]])
+    for obj, names in (
+        (factor_mod_p([[1, 1]], 2), ("t", "t_bits")),
+        (snf, ("s", "u", "v", "u_csr")),
+        (snf.v_csr, ("dense",)),
+    ):
+        assert not [name for name in names if hasattr(obj, name)]
 
 
 def test_nullspace_mod_p():
@@ -439,9 +455,10 @@ def test_smith_normal_form_properties():
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 7)
         a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         snf = smith_normal_form(a)
-        assert abs(bareiss_det(snf.u)) == 1
-        assert abs(bareiss_det(snf.v)) == 1
-        assert int_matmul(int_matmul(snf.u, a), snf.v) == [list(row) for row in snf.s]
+        dense = dense_snf(snf)
+        assert abs(bareiss_det(dense.u)) == 1
+        assert abs(bareiss_det(dense.v)) == 1
+        assert int_matmul(int_matmul(dense.u, a), dense.v) == [list(row) for row in dense.s]
         diag = snf.diagonal()
         assert all(d >= 0 for d in diag)
         for i in range(len(diag) - 1):
@@ -449,7 +466,7 @@ def test_smith_normal_form_properties():
                 assert diag[i + 1] % diag[i] == 0 or diag[i + 1] == 0
             else:
                 assert diag[i + 1] == 0
-        for i, row in enumerate(snf.s):
+        for i, row in enumerate(dense.s):
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
@@ -484,7 +501,7 @@ def test_smith_normal_form_stops_on_coefficient_growth():
 
 
 def _assert_same_as_reference(a):
-    got = smith_normal_form(a)
+    got = dense_snf(smith_normal_form(a))
     want = smith_normal_form_reference(a)
     assert got.rows == want["rows"] and got.cols == want["cols"]
     assert got.s == want["s"]
@@ -555,15 +572,16 @@ def test_solve_mod_m_matches_dense_reference():
             rows, cols = rng.randrange(0, 6), rng.randrange(0, 6)
             a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
             snf = smith_normal_form(np.array(a, dtype=np.int64).reshape(rows, cols))
+            ref = dense_snf(snf)
             if k % 2:
                 b = [rng.randrange(m) for _ in range(rows)]
             else:
                 x0 = [rng.randrange(m) for _ in range(cols)]
                 b = [sum(r * x for r, x in zip(row, x0)) % m for row in a]
-            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
+            assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
             seed = rng.randrange(1 << 30)
             got = sample_kernel_mod_m(snf, m, random.Random(seed))
-            assert got == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
+            assert got == sample_kernel_mod_m_reference(ref, m, random.Random(seed))
 
 
 @pytest.mark.parametrize("label", ("torus7", "rp2_6", "sd1(rp2_6)"))
@@ -573,13 +591,14 @@ def test_solve_mod_m_matches_dense_reference_on_coboundaries(label):
     for degree in (0, 1):
         mat = coboundary_matrix(x, degree)
         snf = smith_normal_form(mat)
+        ref = dense_snf(snf)
         for m in (4, 6, 8):
             x0 = [rng.randrange(m) for _ in range(mat.shape[1])]
             for b in (
                 [int(v) % m for v in mat @ np.array(x0, dtype=np.int64)],
                 [rng.randrange(m) for _ in range(mat.shape[0])],
             ):
-                assert solve_mod_m(snf, b, m) == solve_mod_m_reference(snf, b, m)
+                assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
 
 
 @pytest.mark.parametrize("label", ("torus7", "klein", "sd1(rp2_6)"))
@@ -592,6 +611,7 @@ def test_solve_mod_m_matches_dense_reference_for_large_moduli(label):
     for degree in (0, 1):
         mat = coboundary_matrix(x, degree)
         snf = smith_normal_form(mat)
+        ref = dense_snf(snf)
         for m in (4, 6, 12, 2**31 - 2):
             for _ in range(2):
                 x0 = np.array([rng.randrange(m) for _ in range(mat.shape[1])], dtype=object)
@@ -599,11 +619,11 @@ def test_solve_mod_m_matches_dense_reference_for_large_moduli(label):
                 other = [rng.randrange(m) for _ in range(mat.shape[0])]
                 for b in (consistent, other, np.array(consistent, dtype=np.int64)):
                     got = solve_mod_m(snf, b, m)
-                    assert got == solve_mod_m_reference(snf, list(b), m)
+                    assert got == solve_mod_m_reference(ref, list(b), m)
                     assert got is None or all(type(v) is int for v in got)
                 seed = rng.randrange(1 << 30)
                 got = sample_kernel_mod_m(snf, m, random.Random(seed))
-                assert got == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
+                assert got == sample_kernel_mod_m_reference(ref, m, random.Random(seed))
 
 
 def test_solve_mod_m_keeps_multipliers_beyond_int64_exact():
@@ -613,7 +633,7 @@ def test_solve_mod_m_keeps_multipliers_beyond_int64_exact():
     a = np.array([[1, big, 3], [2, 2 * big + 1, 7], [5, 4, big + 2]], dtype=object)
     assert max(abs(k) for k in smith_normal_form(a).row_log[0][2::3]) > 2**72
     for m in (4, 6, 12, 2**31 - 1):
-        snf, ref = smith_normal_form(a), smith_normal_form(a)
+        snf, ref = smith_normal_form(a), dense_snf(smith_normal_form(a))
         for b in ([0, 0, 0], [1, 2, 3], [2, 0, 1], [big, -big, 3]):
             assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
         got = sample_kernel_mod_m(snf, m, random.Random(m))
@@ -630,23 +650,55 @@ def test_solve_mod_m_reads_a_v_image_row_without_entries_as_zero(a, hole):
     # row of V's image part has no entries: the product gives 0 there, not
     # the next row's first product.
     for m in (4, 6, 12, 2**31 - 1):
-        snf, ref = smith_normal_form(a), smith_normal_form(a)
+        snf, ref = smith_normal_form(a), dense_snf(smith_normal_form(a))
         assert hole not in snf.v_image_csr.hit_rows.tolist()
         assert any(ref.v[hole])
         for b in ([0, 0], [1, 2], [3, 1], [2, 5]):
             assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
 
 
-def test_snf_views_leave_fields_and_equality_alone():
+@pytest.fixture
+def replays(monkeypatch):
+    """(ops, count) of every call of linalg._replay while the test runs."""
+    calls = []
+    real = linalg._replay
+
+    def spy(ops, order, count=None):
+        calls.append((ops, count))
+        return real(ops, order, count)
+
+    monkeypatch.setattr(linalg, "_replay", spy)
+    return calls
+
+
+def _replays_u(calls, snfs):
+    """Whether a recorded replay was handed the row log of one of `snfs`."""
+    return any(ops is snf.row_log[0] for ops, _ in calls for snf in snfs)
+
+
+def test_snf_views_leave_fields_and_equality_alone(replays):
+    # Equality compares the fields, logs included, and the hash reads rows,
+    # cols and diag: neither replays a log, before or after a solve has
+    # replayed V's image columns.
     a = np.array([[2, 4], [6, 8], [1, 3]])
     snf, again = smith_normal_form(a), smith_normal_form(a)
-    solve_mod_m(snf, [0, 0, 0], 4)
     assert snf == again and hash(snf) == hash(again)
-    assert (snf.s, snf.u, snf.v) == (again.s, again.u, again.v)
+    assert not replays
+    solve_mod_m(snf, [0, 0, 0], 4)
+    assert len(replays) == 1
+    assert snf == again and hash(snf) == hash(again)
+    assert len(replays) == 1
+    assert dense_snf(snf) == dense_snf(again)
+    # The same shape and diagonal from different operations: one hash, unequal.
+    pos, neg = smith_normal_form([[2]]), smith_normal_form([[-2]])
+    assert pos.diag == neg.diag and hash(pos) == hash(neg) and pos != neg
 
 
-def test_library_never_builds_the_dense_snf_views():
-    x = complex_by_label("sd1(torus7)")
+def _library_paths(x):
+    """A Z2-kernel verdict, Z2 cohomology, a Z4 kernel draw and a Z4 solve
+    on x; returns the cached Smith forms of delta^0..delta^2 they used."""
+    ext = builtin_extension("z4_over_z2")
+    obstruction_class(random_cocycle(x, ext.base, 5), ext)
     cohomology(x, 1, Z2)
     cohomology(x, 2, Z2)
     random_cocycle(x, cyclic_group(4), seed=5)
@@ -656,17 +708,34 @@ def test_library_never_builds_the_dense_snf_views():
     misses = _coboundary_snf.cache_info().misses
     snfs = [_coboundary_snf(x, degree) for degree in (0, 1, 2)]
     assert _coboundary_snf.cache_info().misses == misses
-    for snf in snfs:
-        assert not {"s", "u", "v"} & vars(snf).keys()
+    return snfs
+
+
+def test_library_never_builds_the_dense_snf_views(replays):
+    # The library replays V's columns from the column log, and never U.
+    x = complex_by_label("sd1(torus7)")
+    snfs = _library_paths(x)
+    assert any(ops is snfs[1].col_log[0] for ops, _ in replays)
+    assert not _replays_u(replays, snfs)
     want = smith_normal_form_reference(coboundary_matrix(x, 1))
-    assert snfs[1].u == want["u"]
-    assert "u" in vars(snfs[1])
+    assert dense_snf(snfs[1]).u == want["u"]
 
 
-def test_smith_form_builds_u_and_v_only_when_read():
+def test_a_solve_that_replays_u_trips_the_spy(replays, monkeypatch):
+    # The check above can fail: a composite-modulus solve that replays U
+    # first is caught on the same paths.
+    def solve_replaying_u(snf, b, m):
+        linalg._replay(*snf.row_log)
+        return solve_mod_m(snf, b, m)
+
+    monkeypatch.setattr(cochain, "solve_mod_m", solve_replaying_u)
+    assert _replays_u(replays, _library_paths(complex_by_label("sd1(torus7)")))
+
+
+def test_smith_form_builds_u_and_v_only_when_read(replays):
     # A Z2 verdict reads only the diagonal of delta^1's Smith form; a Z4
     # solve applies the row log to b and replays V's image columns only,
-    # and a kernel draw replays the full V.  No library path builds U.
+    # and a kernel draw replays the full V.  No library path replays U.
     x = complex_by_label("sd1(torus7)")
     ext = builtin_extension("z4_over_z2")
     assert obstruction_class(identity_cocycle(x, ext.base), ext).trivial
@@ -674,15 +743,22 @@ def test_smith_form_builds_u_and_v_only_when_read():
     misses = _coboundary_snf.cache_info().misses
     snf = _coboundary_snf(x, 1)
     assert _coboundary_snf.cache_info().misses == misses
-    assert not {"u_csr", "v_csr", "v_image_csr"} & vars(snf).keys()
+
+    def v_counts():
+        return [count for ops, count in replays if ops is snf.col_log[0]]
+
+    assert v_counts() == []
     rng = random.Random(15)
     f = coboundary(Cochain(x, 1, Z4, [(rng.randrange(4),) for _ in range(x.dim_count(1))]))
     assert is_coboundary(f) is not None
-    assert "v_image_csr" in vars(snf) and not {"u_csr", "v_csr"} & vars(snf).keys()
+    rank = len(snf.diag) - snf.diag.count(0)
+    assert v_counts() == [rank]
     random_cocycle(x, cyclic_group(4), seed=5)
-    assert "v_csr" in vars(snf) and "u_csr" not in vars(snf)
+    assert v_counts() == [rank, snf.cols]
+    assert not _replays_u(replays, [snf])
     want = smith_normal_form_reference(coboundary_matrix(x, 1))
-    assert (snf.s, snf.u, snf.v) == (want["s"], want["u"], want["v"])
+    got = dense_snf(snf)
+    assert (got.s, got.u, got.v) == (want["s"], want["u"], want["v"])
 
 
 # The ladder's rung sizes: every pivot but one clears its row in one step
@@ -693,10 +769,17 @@ def test_smith_normal_form_matches_reference_on_ladder_rungs(label, degree):
     _assert_same_as_reference(coboundary_matrix(complex_by_label(label), degree))
 
 
+@pytest.mark.parametrize("label", ("sd1(klein)", "sd2(rp2_6)"))
+@pytest.mark.parametrize("degree", (0, 1))
+def test_selective_replay_matches_full_replay_on_ladder_rungs(label, degree):
+    check_selective_replay(smith_normal_form(coboundary_matrix(complex_by_label(label), degree)))
+
+
 @pytest.mark.parametrize("v_first", (True, False))
-def test_u_and_v_replay_alike_in_either_order(v_first):
-    # A kernel draw reads V alone and a solve reads U and V; whichever
-    # comes first, both replay to the reference's U and V.
+def test_u_and_v_replay_alike_in_either_order(v_first, replays):
+    # A kernel draw replays the full V and a solve V's image columns;
+    # whichever comes first, neither replays U, and both answer as the
+    # references do on the dense U and V.
     mat = coboundary_matrix(complex_by_label("sd1(klein)"), 1)
     want = smith_normal_form_reference(mat)
     rng = random.Random(16)
@@ -707,14 +790,37 @@ def test_u_and_v_replay_alike_in_either_order(v_first):
         b = (mat @ x0 % m).tolist()
         if v_first:
             kernel = sample_kernel_mod_m(snf, m, random.Random(seed))
-            assert "u_csr" not in vars(snf)
             solved = solve_mod_m(snf, b, m)
         else:
             solved = solve_mod_m(snf, b, m)
             kernel = sample_kernel_mod_m(snf, m, random.Random(seed))
-        assert (snf.s, snf.u, snf.v) == (want["s"], want["u"], want["v"])
-        assert solved is not None and solved == solve_mod_m_reference(snf, b, m)
-        assert kernel == sample_kernel_mod_m_reference(snf, m, random.Random(seed))
+        assert not _replays_u(replays, [snf])
+        ref = dense_snf(snf)
+        assert (ref.s, ref.u, ref.v) == (want["s"], want["u"], want["v"])
+        assert solved is not None and solved == solve_mod_m_reference(ref, b, m)
+        assert kernel == sample_kernel_mod_m_reference(ref, m, random.Random(seed))
+
+
+@pytest.mark.parametrize("m", (2**31, 2**31 + 11, 2**40 + 15, 3**30, 10**15, 0, -3, 4.0, "4", None))
+def test_composite_solves_reject_moduli_they_would_get_wrong(m):
+    # Past 2^31 - 1 the limb products overflow int64, so a solve can return
+    # a vector that does not solve A x = b; m = -3 gave negative entries,
+    # and m = 0 a bare ZeroDivisionError.
+    snf = smith_normal_form([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="modulus"):
+        solve_mod_m(snf, [5, 7], m)
+    with pytest.raises(ValueError, match="modulus"):
+        sample_kernel_mod_m(snf, m, random.Random(0))
+
+
+def test_composite_solves_take_every_modulus_up_to_2_31_minus_1():
+    snf = smith_normal_form([[2, 0], [0, 3]])
+    assert solve_mod_m(snf, [5, 7], 1) == [0, 0]
+    assert sample_kernel_mod_m(snf, 1, random.Random(0)) == [0, 0]
+    for m in (np.int64(2**31 - 1), 2**31 - 1):
+        x = solve_mod_m(snf, [4, 9], m)
+        assert all(type(v) is int for v in x)
+        assert [2 * x[0] % m, 3 * x[1] % m] == [4, 9]
 
 
 def test_sample_kernel_mod_m_lands_in_kernel_and_covers():

@@ -6,7 +6,8 @@ columns, replayed from the column operations they depend on; a kernel
 draw reads the full V.  Small integer matrices have non-unit pivots and
 Euclidean swaps, so a column can be a source and be written afterwards.
 Each order of the two reads must give the references' witnesses and
-draws.  Needs hypothesis; without it the module is skipped.
+draws, on the dense U and V that `dense_views` replays in full.  Needs
+hypothesis; without it the module is skipped.
 """
 
 import random
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from cechlift.cochain import coboundary_matrix
 from cechlift.errors import CapExceededError
 from cechlift.linalg import sample_kernel_mod_m, smith_normal_form, solve_mod_m
+from dense_views import check_selective_replay, dense_snf
 from gfp_reference import sample_kernel_mod_m_reference, solve_mod_m_reference
 from sparse import SWEEP_LABELS, sparse_rhs, sparse_sweep
 from subdivision import complex_by_label
@@ -44,7 +46,7 @@ def systems(draw):
 def _check_both_orders(a, m, b, seed):
     """Solve then draw on one Smith form, draw then solve on another, and
     compare both with the references on a third."""
-    first, second, ref = smith_normal_form(a), smith_normal_form(a), smith_normal_form(a)
+    first, second, ref = smith_normal_form(a), smith_normal_form(a), dense_snf(smith_normal_form(a))
     solved = solve_mod_m(first, b, m)
     drawn = sample_kernel_mod_m(first, m, random.Random(seed))
     drawn_first = sample_kernel_mod_m(second, m, random.Random(seed))
@@ -99,7 +101,17 @@ def test_solves_of_sparse_right_hand_sides_match_references(system, data):
 @pytest.mark.parametrize("label", SWEEP_LABELS)
 def test_solves_of_sparse_coboundary_right_hand_sides(label, m):
     a = coboundary_matrix(complex_by_label(label), 1)
-    snf, ref = smith_normal_form(a), smith_normal_form(a)
+    snf, ref = smith_normal_form(a), dense_snf(smith_normal_form(a))
     for scale in (1, 2):
         for b in sparse_sweep(a, scale):
             assert solve_mod_m(snf, b, m) == solve_mod_m_reference(ref, b, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_selective_replay_matches_full_replay(system):
+    try:
+        snf = smith_normal_form(system[0])
+    except CapExceededError:
+        return
+    check_selective_replay(snf)
