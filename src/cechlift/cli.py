@@ -360,7 +360,7 @@ def cmd_catalog(args) -> RunReport:
 def cmd_cohomology(args) -> RunReport:
     t0 = time.perf_counter()
     x, cdesc = _load_complex(args)
-    coeffs = _read_input(f"bad group literal {args.coefficients!r}", parse_group, args.coefficients)
+    coeffs = _read_input("-k/--coefficients", parse_group, args.coefficients)
     space = cohomology(x, args.degree, coeffs)
     payload = {
         "degree": args.degree,

@@ -190,11 +190,12 @@ def coboundary_matrix(complex_: SimplicialComplex, p: int) -> np.ndarray:
     rows = simplices_of_dim(complex_, p + 1)
     cols = simplices_of_dim(complex_, p)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if cols:
-        for i, s in enumerate(rows):
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                mat[i, complex_.index_of(face)] = (-1) ** j
+    if rows and cols:
+        # Face j of each row simplex, sign (-1)^j, stored in one scatter.
+        index = complex_._index
+        faces = [index[s[:j] + s[j + 1 :]] for s in rows for j in range(p + 2)]
+        signs = np.tile((-1) ** np.arange(p + 2), len(rows))
+        mat[np.repeat(np.arange(len(rows)), p + 2), faces] = signs
     mat.setflags(write=False)
     return mat
 

@@ -111,16 +111,19 @@ Z2 = AbelianGroup((2,))
 
 
 def parse_group(text: str) -> AbelianGroup:
-    """Parse a literal like Z2, Z4 or Z2xZ4 into an AbelianGroup."""
+    """Parse a literal like Z2, Z4 or Z2xZ4 into an AbelianGroup.  A bad
+    literal raises ValueError naming it once and saying why."""
     parts = text.strip().split("x")
     factors = []
     for part in parts:
         m = _LITERAL.match(part.strip())
         if not m:
-            raise ValueError(f"bad group literal {text!r}")
+            raise ValueError(f"bad group literal {text!r}: each factor must read Z<n>, got {part.strip()!r}")
         n = int(m.group(1))
         if n < 1:
-            raise ValueError(f"bad group literal {text!r}")
+            raise ValueError(
+                f"bad group literal {text!r}: a cyclic factor must be at least 1, got {part.strip()!r}"
+            )
         if n > 1:
             factors.append(n)
     return AbelianGroup(tuple(factors))

@@ -23,39 +23,51 @@ the nullspace vectors of the next coboundary in the coordinates T gives
 to the quotient by the image.
 
 The Smith normal form works on plain Python ints, so entries can never
-overflow.  It is a sparse replay of the dense elimination kept in the
-tests as the reference: S rows are dicts of nonzeros, rows and columns
-move through position tables, and a column-to-rows index lets each step
-touch only nonzero entries.  The operations and their order are the
+overflow, and on sparse rows: dicts of nonzeros, with a column-to-rows
+index so each step touches only nonzero entries.  `smith_normal_form`
+computes the diagonal at once and holds the matrix, read-only, for the
+rest.  The diagonal pass (`_diagonal`) pivots on ±1 entries in Markowitz
+order, as Dumas, Heckenbach, Saunders and Welker do for simplicial
+homology: the shortest row first, in it the unit whose column is
+shortest; it clears that column by row operations and drops the pivot's
+row and column.  On the coboundaries of the surfaces here that leaves
+nothing, or on a nonorientable one a single row of even entries; what is
+left goes through the logged elimination.  A rank or torsion, all a
+verdict or a cohomology group asks of the Smith form, reads that
+diagonal only.
+
+The logged elimination (`_eliminate`) is a sparse replay of the dense one
+kept in the tests as the reference: rows and columns move through
+position tables, and its operations and their order are the
 reference's, so S, and U and V replayed from its logs, equal the
-reference's entry for entry.  On dense matrices those entries can grow
-exponentially, so the elimination stops with `CapExceededError` once a
-pivot or quotient passes `_SNF_MAX_BITS` bits.  The elimination works on
-S alone and logs its row and column operations; an `Snf` keeps S's
-diagonal and those logs.  A rank or torsion, all a GF(p) verdict asks of
-the Smith form, reads the diagonal only.  A composite-modulus solve
-applies the row log to b itself, the product form of U (Dantzig and
-Orchard-Hays), skipping each operation whose source entry is 0, and
-multiplies by V's image columns, the ones at nonzero diagonal entries,
-which it replays from the column operations they depend on; a kernel
-draw replays the full V.  V's parts are stored as their nonzeros by rows
-(CSR), built on first read; no library path builds U.  Solves and kernel
-draws take a modulus m in 1..2^31 - 1, reduce V's values mod m once per
-modulus, and each product is one gather and one `np.add.reduceat` over
-16-bit limbs, exact in int64 for such m.
+reference's entry for entry.  It runs on the whole held matrix at the
+first read of the logs, and its diagonal must equal the diagonal pass's.
+On dense matrices the entries can grow exponentially, so both passes
+stop with `CapExceededError` once a pivot or quotient passes
+`_SNF_MAX_BITS` bits.  A composite-modulus solve applies the row log to
+b itself, the product form of U (Dantzig and Orchard-Hays), skipping
+each operation whose source entry is 0, and multiplies by V's image
+columns, the ones at nonzero diagonal entries, which it replays from the
+column operations they depend on; a kernel draw replays the full V.
+V's parts are stored as their nonzeros by rows (CSR), built on first
+read; no library path builds U.  Solves and kernel draws take a modulus
+m in 1..2^31 - 1, reduce V's values mod m once per modulus, and each
+product is one gather and one `np.add.reduceat` over 16-bit limbs, exact
+in int64 for such m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalCheckError
 
 __all__ = [
     "rref_mod_p",
@@ -536,25 +548,57 @@ def _replay(ops: list[int], order: tuple[int, ...], count: Optional[int] = None)
     return [lines[i] for i in wanted]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snf:
     """S = U A V with U, V unimodular; S diagonal with divisibility down the diagonal.
 
-    S is stored as its diagonal, U and V as the logs of the row and column
-    operations of `smith_normal_form`.  A rank or torsion reads the
-    diagonal alone.  A solve applies the row log to its right-hand side
-    and reads `v_image_csr`, V's columns at the nonzero diagonal entries; a
-    kernel draw reads the full V, `v_csr`.  Both are cached properties
-    replayed from the column log on first read.  Equality compares the
-    fields, logs included, and the hash covers rows, cols and diag, so
-    neither replays anything.
+    S is stored as its diagonal, computed by `smith_normal_form`, and A as
+    `matrix`, read-only.  A rank or torsion reads the diagonal alone.  U
+    and V are kept as `row_log` and `col_log`, the logs of the row and
+    column operations of `_eliminate` on A, run once at the first read of
+    either; a diagonal that differs from the one held raises
+    `InternalCheckError`, and a pivot or quotient past `_SNF_MAX_BITS`
+    raises `CapExceededError` there.  A solve applies the row log to its
+    right-hand side and reads `v_image_csr`, V's columns at the nonzero
+    diagonal entries; a kernel draw reads the full V, `v_csr`.  Both are
+    cached properties replayed from the column log on first read.
+    Equality compares rows, cols, diag and A's entries, and the hash
+    covers rows, cols and diag, so neither runs an elimination.
     """
 
     rows: int
     cols: int
     diag: tuple[int, ...]
-    row_log: _OpLog = field(repr=False, hash=False)
-    col_log: _OpLog = field(repr=False, hash=False)
+    matrix: np.ndarray = field(repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Snf):
+            return NotImplemented
+        return (self.rows, self.cols, self.diag) == (other.rows, other.cols, other.diag) and np.array_equal(
+            self.matrix, other.matrix
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.diag))
+
+    @cached_property
+    def _logs(self) -> tuple[_OpLog, _OpLog]:
+        diag, row_log, col_log = _eliminate(self.matrix)
+        if diag != self.diag:
+            at = next(i for i, (x, y) in enumerate(zip(diag, self.diag)) if x != y)
+            raise InternalCheckError(
+                f"Smith form diagonal entry {at}: the logged elimination gives {diag[at]}, "
+                f"the diagonal pass {self.diag[at]}"
+            )
+        return row_log, col_log
+
+    @property
+    def row_log(self) -> _OpLog:
+        return self._logs[0]
+
+    @property
+    def col_log(self) -> _OpLog:
+        return self._logs[1]
 
     @cached_property
     def v_csr(self) -> _Csr:
@@ -603,13 +647,18 @@ class Snf:
         return view
 
 
-# Bit length past which a pivot or quotient of the Smith form's elimination
-# stops it.  On the coboundaries of the builtins, of their first and second
+# Bit length past which a pivot or quotient of either Smith-form pass stops
+# it.  On the coboundaries of the builtins, of their first and second
 # subdivisions and of sd^3(torus7) none passes 2 bits.  Dense integer
 # matrices can grow their entries exponentially: a 7 x 5 one with entries
 # below 21 ran for minutes without finishing, and now raises in
-# milliseconds.  Of 3,000 random matrices up to 7 x 7 with entries in
-# [-20, 20], about one in ten passes this bound, each within a second.
+# milliseconds.  The diagonal pass and the logged one take different
+# steps, so one can pass the bound where the other does not: of 3,000
+# random matrices up to 7 x 7 with entries in [-20, 20], 264-283 pass it
+# in both, 29-34 in the diagonal pass alone and 23-43 in the logged one
+# alone (three seeds), each within a second.  `smith_normal_form` runs the logged pass at once when
+# the diagonal pass stops, so it raises where that pass does; otherwise
+# the error comes from the first read of the logs.
 _SNF_MAX_BITS = 1 << 16
 
 
@@ -617,8 +666,116 @@ def _snf_too_big(x: int) -> CapExceededError:
     return CapExceededError(x.bit_length(), _SNF_MAX_BITS, "smith_normal_form entry", "bits")
 
 
+def _sparse(m: np.ndarray) -> tuple[list[dict], list[set]]:
+    """The nonzeros of an integer matrix as one {column: value} dict per
+    row, values as Python ints, and for each column the set of rows with
+    a nonzero there."""
+    rows, cols = m.shape
+    srow: list[dict] = [{} for _ in range(rows)]
+    incol: list[set] = [set() for _ in range(cols)]
+    # Over the flat array: np.nonzero on a 2-d one is several times slower.
+    flat = m.ravel()
+    hits = np.flatnonzero(flat != 0)
+    nz_r, nz_c = np.divmod(hits, cols)
+    for r, c, x in zip(nz_r.tolist(), nz_c.tolist(), flat[hits].tolist()):
+        srow[r][c] = x
+        incol[c].add(r)
+    return srow, incol
+
+
 def smith_normal_form(a) -> Snf:
-    """Smith normal form of an integer matrix; U and V are kept as logs of operations.
+    """Smith normal form of an integer matrix: the diagonal now, U and V as
+    logs of operations on first read (see `Snf`).
+
+    The matrix is held read-only: copied unless it is a read-only array
+    that owns its data, as the cached coboundaries are, so no later write
+    by the caller reaches the logs.  The diagonal comes from `_diagonal`;
+    when that pass stops on `_SNF_MAX_BITS`, `_eliminate` runs at once and
+    raises where it does, or gives the diagonal and the logs together.
+    """
+    m = _integers(a, ndim=2)
+    if m.flags.writeable or m.base is not None:
+        m = m.copy()
+        m.setflags(write=False)
+    try:
+        return Snf(*m.shape, _diagonal(m), m)
+    except CapExceededError:
+        diag, row_log, col_log = _eliminate(m)
+    snf = Snf(*m.shape, diag, m)
+    # Seeds the cached property, which would run the same elimination again.
+    vars(snf)["_logs"] = (row_log, col_log)
+    return snf
+
+
+def _diagonal(m: np.ndarray) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of m, with no logs.
+
+    Unit pivots in Markowitz order first: take the shortest row that holds
+    a ±1 entry, in it the ±1 entry whose column is shortest, clear that
+    column by row operations, and drop the pivot's row and column; a
+    column operation would clear the rest of the row without touching
+    any other.  Rows wait in a heap by length; a row changed by an
+    operation is pushed again, and an entry whose length is out of date is
+    skipped.  Each pivot is a unit of the diagonal.  The rows and columns
+    left with entries, usually none, form a block that `_eliminate`
+    reduces.  The diagonal is the units, then the block's nonzero entries,
+    then zeros: the invariant factors are unique, so it is the one
+    `_eliminate` gives on m.  Raises CapExceededError once a multiplier of
+    the unit pivots, or a pivot or quotient of the block's elimination,
+    passes `_SNF_MAX_BITS` bits.
+    """
+    rows, cols = m.shape
+    srow, incol = _sparse(m)
+    units = 0
+    heap = [(len(row), r) for r, row in enumerate(srow) if row]
+    heapify(heap)
+    while heap:
+        n, r = heappop(heap)
+        prow = srow[r]
+        if n != len(prow):
+            continue
+        pc = None
+        for c, x in prow.items():
+            if (x == 1 or x == -1) and (pc is None or len(incol[c]) < len(incol[pc])):
+                pc = c
+        if pc is None:
+            continue
+        x = prow[pc]
+        for i in [i for i in incol[pc] if i != r]:
+            row = srow[i]
+            # row i -= (its entry / the pivot) * row r; the pivot is its own inverse.
+            k = -row[pc] * x
+            if k.bit_length() > _SNF_MAX_BITS:
+                raise _snf_too_big(k)
+            for c, y in prow.items():
+                z = row.get(c, 0) + k * y
+                if z:
+                    if c not in row:
+                        incol[c].add(i)
+                    row[c] = z
+                else:
+                    del row[c]
+                    incol[c].discard(i)
+            if row:
+                heappush(heap, (len(row), i))
+        for c in prow:
+            incol[c].discard(r)
+        srow[r] = {}
+        units += 1
+    left = [r for r in range(rows) if srow[r]]
+    block_diag: tuple[int, ...] = ()
+    if left:
+        at = {c: j for j, c in enumerate(sorted({c for r in left for c in srow[r]}))}
+        block = np.zeros((len(left), len(at)), dtype=object)
+        for i, r in enumerate(left):
+            for c, x in srow[r].items():
+                block[i, at[c]] = x
+        block_diag = tuple(d for d in _eliminate(block)[0] if d)
+    return (1,) * units + block_diag + (0,) * (min(rows, cols) - units - len(block_diag))
+
+
+def _eliminate(m: np.ndarray) -> tuple[tuple[int, ...], _OpLog, _OpLog]:
+    """The logged Smith-form elimination of m: (diagonal, row log, column log).
 
     Pivot on the entry of least absolute value (first in row-major order),
     clear its row and column by Euclidean steps, swapping in any remainder,
@@ -628,18 +785,12 @@ def smith_normal_form(a) -> Snf:
     S rows are dicts keyed by original column index; swaps only update the
     position tables row_at/rowpos and col_at/colpos.  Each row operation,
     sign flip and column operation is appended to a log by row or column
-    id, and an `Snf` reads the logs only where asked (see there), so an
-    elimination does no work on U or V.  A unit pivot alone in its column
-    clears its row in one step: every column operation would leave a zero.
+    id, so an elimination does no work on U or V.  A unit pivot alone in
+    its column clears its row in one step: every column operation would
+    leave a zero.
     """
-    m = _integers(a, ndim=2)
     rows, cols = m.shape
-    srow: list[dict] = [{} for _ in range(rows)]
-    incol: list[set] = [set() for _ in range(cols)]
-    nz_r, nz_c = np.nonzero(m)
-    for r, c, x in zip(nz_r.tolist(), nz_c.tolist(), m[nz_r, nz_c].tolist()):
-        srow[r][c] = x
-        incol[c].add(r)
+    srow, incol = _sparse(m)
     row_ops: list[int] = []
     col_ops: list[int] = []
     row_at, rowpos = list(range(rows)), list(range(rows))
@@ -759,7 +910,7 @@ def smith_normal_form(a) -> Snf:
         t += 1
 
     diag = tuple(srow[row_at[t]].get(col_at[t], 0) for t in range(min(rows, cols)))
-    return Snf(rows, cols, diag, (row_ops, tuple(row_at)), (col_ops, tuple(col_at)))
+    return diag, (row_ops, tuple(row_at)), (col_ops, tuple(col_at))
 
 
 def _modulus(m) -> int:
@@ -773,7 +924,8 @@ def solve_mod_m(snf: Snf, b, m: int) -> Optional[list[int]]:
     """Solve A x = b (mod m) given the SNF of A; least solution, or None.
 
     With S = U A V, solve S z = U b row by row and return x = V z.  A solve
-    reads the row log, the diagonal and V's image columns, nothing else.
+    reads the row log, the diagonal and V's image columns, nothing else;
+    the first read of the logs runs the logged elimination (see `Snf`).
     U b is the row log applied to b mod m, on Python ints, skipping every
     operation whose source entry is 0, then read in the final row order
     (`Snf._row_order`); U itself is never built.  z is 0 wherever the

@@ -9,6 +9,7 @@ this module calls cechlift.linalg.
 """
 
 from itertools import combinations, product
+from math import gcd
 
 from cechlift.nerve import simplices_of_dim
 
@@ -134,6 +135,24 @@ def bareiss_det(mat):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def smith_diagonal_by_minors(mat, rows, cols):
+    """The Smith normal form's diagonal from determinantal divisors: with
+    d_k the gcd of all k x k minors (d_0 = 1), entry k is d_k / d_{k-1}
+    while d_k is nonzero, and 0 from the rank on.  Exponential in the
+    size; for matrices up to about 7 x 7."""
+    diag, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                d = gcd(d, bareiss_det([[mat[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        diag.append(d // prev)
+        prev = d
+    return diag + [0] * (min(rows, cols) - len(diag))
 
 
 def int_matmul(a, b):

@@ -1,12 +1,29 @@
-"""Sparse right-hand sides for the solve property tests.
+"""Draws and sweeps for the Smith-form property tests.
 
-The obstructions a verdict solves for are sparse: a defect has a handful
-of nonzero triangles out of hundreds.  These draws and the fixed sweep
+`systems` draws small integer matrices with right-hand sides.  The
+obstructions a verdict solves for are sparse: a defect has a handful of
+nonzero triangles out of hundreds.  The sparse draws and the fixed sweep
 exercise solves where they read the fewest columns and log entries.
 """
 
 import numpy as np
 from hypothesis import strategies as st
+
+MODULI = (4, 6, 8, 9, 12)
+
+
+@st.composite
+def systems(draw):
+    """A matrix up to 5 x 5 with entries in [-6, 6], a vector x0 per
+    modulus for a consistent b, a random b per modulus and a draw seed."""
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
+    vectors = st.lists(st.integers(0, 35), min_size=cols, max_size=cols)
+    x0s = draw(st.lists(vectors, min_size=len(MODULI), max_size=len(MODULI)))
+    rhs = st.lists(st.integers(-40, 40), min_size=rows, max_size=rows)
+    bs = draw(st.lists(rhs, min_size=len(MODULI), max_size=len(MODULI)))
+    return np.array(entries, dtype=np.int64).reshape(rows, cols), x0s, bs, draw(st.integers(0, 2**30))
 
 
 @st.composite

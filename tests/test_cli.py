@@ -254,6 +254,20 @@ def test_oversized_coefficients_exit_two_quickly(capsys):
         assert out == ""
 
 
+def test_bad_coefficient_literal_is_named_once_with_a_reason(capsys):
+    # The message used to repeat the literal with no reason: "bad group
+    # literal 'Z0': bad group literal 'Z0'".
+    for literal, reason in (
+        ("Z0", "a cyclic factor must be at least 1, got 'Z0'"),
+        ("Z2x", "each factor must read Z<n>, got ''"),
+        ("Z2+Z4", "each factor must read Z<n>, got 'Z2+Z4'"),
+    ):
+        rc, out, err = run_cli(capsys, "cohomology", "--builtin", "torus7", "-p", "1", "-k", literal)
+        assert rc == EXIT_PARSE
+        assert err.strip() == f"error: -k/--coefficients: bad group literal {literal!r}: {reason}"
+        assert out == ""
+
+
 def test_count_check_uses_the_rank_figure(capsys, monkeypatch):
     import cechlift.cli
 
@@ -293,6 +307,30 @@ def test_smith_form_entry_bound_exits_three(capsys, monkeypatch, tmp_path):
     write_complex(cpath, builtin_complex("torus7"))
     monkeypatch.setattr(linalg, "_SNF_MAX_BITS", 0)
     rc, out, err = run_cli(capsys, "cohomology", "--complex", str(cpath), "-p", "1", "-k", "Z4")
+    assert rc == EXIT_SEMANTIC
+    assert "CapExceededError" in err and "bits" in err
+    assert out == ""
+
+
+def test_smith_form_entry_bound_in_the_logged_run_exits_three(capsys, monkeypatch, tmp_path):
+    # The bound drops to 0 only once the logged elimination runs, as it
+    # does at a kernel draw's first read of the logs.  The diagonal pass
+    # leaves it no block on the torus, so the cohomology still answers and
+    # a random cocycle's draw fails with the bound.
+    cpath = tmp_path / "torus.cplx"
+    write_complex(cpath, builtin_complex("torus7"))
+    real = linalg._eliminate
+
+    def over_the_bound(m):
+        monkeypatch.setattr(linalg, "_SNF_MAX_BITS", 0)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", over_the_bound)
+    rc, out, err = run_cli(capsys, "cohomology", "--complex", str(cpath), "-p", "1", "-k", "Z4")
+    assert rc == 0 and linalg._SNF_MAX_BITS > 0
+    rc, out, err = run_cli(
+        capsys, "obstruction", "--complex", str(cpath), "--cocycle", "random", "--extension", "z4_over_z2"
+    )
     assert rc == EXIT_SEMANTIC
     assert "CapExceededError" in err and "bits" in err
     assert out == ""

@@ -23,11 +23,11 @@ from cechlift.cochain import (
 )
 from cechlift.errors import CapExceededError
 from cechlift.linalg import GfpSpan
-from cechlift.nerve import BUILTIN_COMPLEXES, build_complex, builtin_complex
+from cechlift.nerve import BUILTIN_COMPLEXES, build_complex, builtin_complex, simplices_of_dim
 from cechlift.obstruct import mobius_cocycle
 from gfp_reference import solve_mod_p_reference
 from oracles import cohomology_dim_gf2, cohomology_dim_mod_p, gf2_span
-from subdivision import complex_by_label
+from subdivision import LABELS, complex_by_label
 
 Z4 = AbelianGroup((4,))
 Z6 = AbelianGroup((6,))
@@ -119,6 +119,23 @@ def test_coboundary_matrix_shapes(name):
     for p in range(3):
         mat = coboundary_matrix(x, p)
         assert mat.shape == (x.dim_count(p + 1), x.dim_count(p))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_coboundary_matrix_matches_the_per_entry_build(label):
+    # The matrix is built with one scatter; this is the per-entry loop it
+    # replaced, face j of each simplex at sign (-1)^j.
+    x = complex_by_label(label)
+    for p in range(-1, x.dimension + 2):
+        rows, cols = simplices_of_dim(x, p + 1), simplices_of_dim(x, p)
+        want = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        if cols:
+            for i, s in enumerate(rows):
+                for j in range(len(s)):
+                    want[i, x.index_of(s[:j] + s[j + 1 :])] = (-1) ** j
+        got = coboundary_matrix(x, p)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", BUILTIN_COMPLEXES)

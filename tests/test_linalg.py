@@ -677,9 +677,9 @@ def _replays_u(calls, snfs):
 
 
 def test_snf_views_leave_fields_and_equality_alone(replays):
-    # Equality compares the fields, logs included, and the hash reads rows,
-    # cols and diag: neither replays a log, before or after a solve has
-    # replayed V's image columns.
+    # Equality compares rows, cols, diag and the held matrix, and the hash
+    # reads rows, cols and diag: neither replays a log, before or after a
+    # solve has replayed V's image columns.
     a = np.array([[2, 4], [6, 8], [1, 3]])
     snf, again = smith_normal_form(a), smith_normal_form(a)
     assert snf == again and hash(snf) == hash(again)
@@ -689,7 +689,7 @@ def test_snf_views_leave_fields_and_equality_alone(replays):
     assert snf == again and hash(snf) == hash(again)
     assert len(replays) == 1
     assert dense_snf(snf) == dense_snf(again)
-    # The same shape and diagonal from different operations: one hash, unequal.
+    # The same shape and diagonal from different matrices: one hash, unequal.
     pos, neg = smith_normal_form([[2]]), smith_normal_form([[-2]])
     assert pos.diag == neg.diag and hash(pos) == hash(neg) and pos != neg
 

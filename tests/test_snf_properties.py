@@ -23,24 +23,8 @@ from cechlift.errors import CapExceededError
 from cechlift.linalg import sample_kernel_mod_m, smith_normal_form, solve_mod_m
 from dense_views import check_selective_replay, dense_snf
 from gfp_reference import sample_kernel_mod_m_reference, solve_mod_m_reference
-from sparse import SWEEP_LABELS, sparse_rhs, sparse_sweep
+from sparse import MODULI, SWEEP_LABELS, sparse_rhs, sparse_sweep, systems
 from subdivision import complex_by_label
-
-MODULI = (4, 6, 8, 9, 12)
-
-
-@st.composite
-def systems(draw):
-    """A matrix up to 5 x 5 with entries in [-6, 6], a vector x0 per
-    modulus for a consistent b, a random b per modulus and a draw seed."""
-    rows = draw(st.integers(0, 5))
-    cols = draw(st.integers(0, 5))
-    entries = draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
-    vectors = st.lists(st.integers(0, 35), min_size=cols, max_size=cols)
-    x0s = draw(st.lists(vectors, min_size=len(MODULI), max_size=len(MODULI)))
-    rhs = st.lists(st.integers(-40, 40), min_size=rows, max_size=rows)
-    bs = draw(st.lists(rhs, min_size=len(MODULI), max_size=len(MODULI)))
-    return np.array(entries, dtype=np.int64).reshape(rows, cols), x0s, bs, draw(st.integers(0, 2**30))
 
 
 def _check_both_orders(a, m, b, seed):
