@@ -187,15 +187,11 @@ def coboundary_matrix(complex_: SimplicialComplex, p: int) -> np.ndarray:
 
     The matrix is cached and shared by every caller, so it is read-only.
     """
-    rows = simplices_of_dim(complex_, p + 1)
-    cols = simplices_of_dim(complex_, p)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    rows, cols = complex_.dim_count(p + 1), complex_.dim_count(p)
+    mat = np.zeros((rows, cols), dtype=np.int64)
     if rows and cols:
         # Face j of each row simplex, sign (-1)^j, stored in one scatter.
-        index = complex_._index
-        faces = [index[s[:j] + s[j + 1 :]] for s in rows for j in range(p + 2)]
-        signs = np.tile((-1) ** np.arange(p + 2), len(rows))
-        mat[np.repeat(np.arange(len(rows)), p + 2), faces] = signs
+        mat[np.arange(rows)[:, None], complex_.face_index(p + 1)] = (-1) ** np.arange(p + 2)
     mat.setflags(write=False)
     return mat
 

@@ -5,6 +5,15 @@ stores, per dimension, the lexicographically sorted tuple of its simplices;
 that ordering is the canonical one and fixes matrix column indexing
 everywhere else in the package.
 
+`build_complex` works on int64 arrays of vertex rows.  It lists the faces
+of the facets by column selection, a bounded chunk of facets at a time, and
+puts each dimension in canonical order by sorting one integer key per row:
+the index of the row's face without its last vertex, times the vertex
+count, plus that vertex.  Beside the tuples, a complex holds one face table
+per degree p >= 1 (`SimplicialComplex.face_index`): entry (i, j) is the
+index of p-simplex i's face without vertex j.  Coboundary matrices, the
+triangle-edge rows and the facet list are read off these tables.
+
 Builtin catalog
 ---------------
 circle   hollow triangle, 3 vertices / 3 edges
@@ -26,11 +35,11 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalCheckError
 
 __all__ = [
     "Simplex",
@@ -60,19 +69,24 @@ class SimplicialComplex:
 
     `simplices` is a read-only view: coboundary matrices, their
     factorizations and cohomology are cached per complex, so the complex
-    must not change after it is built.
+    must not change after it is built.  The face tables (`face_index`) come
+    from `build_complex`; a complex made here from its simplices is checked
+    to list the face closure of vertices 0..vertex_count-1 in canonical
+    order (ValueError otherwise).
     """
 
     vertex_count: int
     simplices: Mapping[int, tuple[Simplex, ...]]
     facets: tuple[Simplex, ...]
     _index: dict[Simplex, int] = field(repr=False, default_factory=dict)
+    _faces: Optional[dict[int, np.ndarray]] = field(repr=False, default=None)
 
     def __post_init__(self):
-        for p, simps in self.simplices.items():
-            for i, s in enumerate(simps):
-                self._index[s] = i
+        for simps in self.simplices.values():
+            self._index.update(zip(simps, range(len(simps))))
         object.__setattr__(self, "simplices", MappingProxyType(dict(self.simplices)))
+        if self._faces is None:
+            object.__setattr__(self, "_faces", _checked_face_tables(self.simplices, self.vertex_count))
 
     @property
     def dimension(self) -> int:
@@ -97,15 +111,22 @@ class SimplicialComplex:
     def triangles(self) -> tuple[Simplex, ...]:
         return self.simplices.get(2, ())
 
+    def face_index(self, p: int) -> np.ndarray:
+        """Read-only (#p-simplices x (p+1)) int64 table whose entry (i, j) is
+        the index of p-simplex i's face without its vertex j; p >= 1."""
+        if p < 1:
+            raise ValueError(f"face tables start at degree 1, got {p}")
+        table = self._faces.get(p)
+        if table is None:
+            table = np.zeros((0, p + 1), dtype=np.int64)
+            table.setflags(write=False)
+        return table
+
     @cached_property
     def triangle_edges(self) -> np.ndarray:
         """Edge rows (ab, bl, al) of each sorted triangle (a, b, l), as a
         read-only T x 3 int64 array in canonical triangle order."""
-        index = self._index
-        rows = np.array(
-            [(index[(a, b)], index[(b, l)], index[(a, l)]) for a, b, l in self.triangles()],
-            dtype=np.int64,
-        ).reshape(-1, 3)
+        rows = self.face_index(2)[:, [2, 0, 1]]
         rows.setflags(write=False)
         return rows
 
@@ -114,28 +135,42 @@ def build_complex(maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Close the given simplices under faces and put everything in canonical order.
 
     Vertex lists may arrive in any order but repeated vertices are rejected,
-    as is a vertex range with gaps (ValueError).  A closure of more than
-    `MAX_SIMPLICES` simplices raises CapExceededError: before any face is
-    listed when one facet's 2^k - 1 faces alone pass it, otherwise once the
-    running closure does.
+    as are a vertex that is not an int or numpy integer and a vertex range
+    with gaps (ValueError).  A closure of more than `MAX_SIMPLICES`
+    simplices raises CapExceededError: before any face is listed when one
+    facet's 2^k - 1 faces alone pass it, otherwise once the running closure
+    does.
     """
-    facets_in: list[Simplex] = []
-    for raw in maximal:
-        verts = [int(v) for v in raw]
-        if not verts:
-            raise ValueError("empty simplex")
-        if any(v < 0 for v in verts):
-            raise ValueError(f"negative vertex in {raw}")
-        s = tuple(sorted(verts))
-        if len(set(s)) != len(s):
-            raise ValueError(f"repeated vertex in simplex {raw}")
-        facets_in.append(s)
-    if not facets_in:
+    raws = list(maximal)
+    if not raws:
         raise ValueError("a complex needs at least one simplex")
+    try:
+        sizes = list(map(len, raws))
+    except TypeError:  # a facet given as an iterator
+        raws = [r if hasattr(r, "__len__") else tuple(r) for r in raws]
+        sizes = list(map(len, raws))
 
-    vertices = set().union(*facets_in)
-    vertex_count = max(vertices) + 1
-    if len(vertices) != vertex_count:
+    # One row-sorted array per facet size; the per-facet loop runs only to
+    # name the first bad facet.
+    widths = sorted(set(sizes))
+    blocks, clean = [], True
+    for k in widths:
+        group = raws if len(widths) == 1 else [r for r, size in zip(raws, sizes) if size == k]
+        rows = _vertex_rows(group) if k else None
+        if rows is None:
+            clean = False
+            continue
+        rows.sort(axis=1)
+        clean &= not ((rows[:, 0] < 0).any() or (rows[:, 1:] == rows[:, :-1]).any())
+        blocks.append(rows)
+    if not clean:
+        for raw in raws:
+            _check_facet(raw)
+        raise InternalCheckError("a facet failed the array checks but passed the per-facet ones")
+
+    vertex_count = max(int(b[:, -1].max()) for b in blocks) + 1
+    if vertex_count > sum(b.size for b in blocks) or not _all_used(blocks, vertex_count):
+        vertices = set().union(*(b.ravel().tolist() for b in blocks))
         # The smallest index not used lies in 0..len(vertices).
         first = next(v for v in range(len(vertices) + 1) if v not in vertices)
         raise ValueError(
@@ -143,26 +178,156 @@ def build_complex(maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
             f"of 0..{vertex_count - 1} missing, the first {first}"
         )
 
-    widest = max(map(len, facets_in))
+    widest = widths[-1]
     if 2**widest - 1 > MAX_SIMPLICES:
         raise CapExceededError(2**widest - 1, MAX_SIMPLICES, f"face closure of a {widest}-vertex facet", "simplices")
-    closure: set[Simplex] = set()
-    for s in facets_in:
-        for k in range(1, len(s) + 1):
-            closure.update(combinations(s, k))
-        if len(closure) > MAX_SIMPLICES:
-            raise CapExceededError(len(closure), MAX_SIMPLICES, "face closure", "simplices")
+    if vertex_count > MAX_SIMPLICES:
+        raise CapExceededError(vertex_count, MAX_SIMPLICES, "face closure", "simplices")
 
-    by_dim: dict[int, list[Simplex]] = {}
-    for s in closure:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    simplices = {p: tuple(sorted(v)) for p, v in sorted(by_dim.items())}
+    # rows[p]: the distinct p-simplices so far as sorted vertex rows, in
+    # canonical order; keys[p]: their sort keys (see _key).  The facets go
+    # in chunks that list at most MAX_SIMPLICES faces, so no more are ever
+    # listed before duplicates are removed; each chunk is merged in one
+    # dimension at a time, and the rows are read back from the keys.
+    n = vertex_count
+    rows = [np.arange(n, dtype=np.int64).reshape(n, 1)] + [np.empty((0, p + 1), np.int64) for p in range(1, widest)]
+    keys: list = [None] * widest
+    for chunk in _chunks([b.astype(np.int64, copy=False) for b in blocks], MAX_SIMPLICES):
+        for p in range(1, widest):
+            listed = [rows[p]]
+            for b in chunk:
+                if b.shape[1] > p:
+                    listed.append(b[:, list(combinations(range(b.shape[1]), p + 1))].reshape(-1, p + 1))
+            key = np.sort(_key(np.concatenate(listed), keys, n))
+            del listed
+            distinct = np.ones(len(key), dtype=bool)
+            distinct[1:] = key[1:] != key[:-1]
+            keys[p] = key = key[distinct]
+            rows[p] = np.column_stack((rows[p - 1][key // n], key % n))
+            del key, distinct
+        total = sum(map(len, rows))
+        if total > MAX_SIMPLICES:
+            raise CapExceededError(total, MAX_SIMPLICES, "face closure", "simplices")
 
-    # The closure is face-closed, so a simplex lies in a bigger one exactly
-    # when it is a codimension-1 face of some simplex of the closure.
-    inner = {s[:j] + s[j + 1 :] for s in closure if len(s) > 1 for j in range(len(s))}
-    facets = tuple(sorted(closure - inner, key=lambda s: (len(s), s)))
-    return SimplicialComplex(vertex_count=vertex_count, simplices=simplices, facets=facets)
+    tables = {}
+    for p in range(1, widest):
+        tables[p] = _face_table(rows[p], keys, tables.get(p - 1), n)
+    del keys
+    simplices = {p: tuple(map(tuple, r.tolist())) for p, r in enumerate(rows)}
+    # A simplex lies in a bigger one exactly when it is a codimension-1
+    # face of some simplex of the closure.
+    facets = []
+    for p, r in enumerate(rows):
+        maximal_rows = np.ones(len(r), dtype=bool)
+        if p + 1 in tables:
+            maximal_rows[tables[p + 1]] = False
+        facets.extend(map(simplices[p].__getitem__, np.flatnonzero(maximal_rows).tolist()))
+    return SimplicialComplex(vertex_count=n, simplices=simplices, facets=tuple(facets), _faces=tables)
+
+
+def _vertex_rows(facets: list) -> Optional[np.ndarray]:
+    """Facets of one size as a 2-d integer array, or None when a vertex is
+    not an int or numpy integer.  Vertices past int64 come back as exact
+    Python ints in an object array."""
+    try:
+        rows = np.array(facets)
+    except (ValueError, TypeError):  # a vertex that is itself a sequence
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.dtype.kind in "iu":
+        return rows
+    if not all(isinstance(v, (int, np.integer)) for f in facets for v in f):
+        return None
+    rows = np.array([list(map(int, f)) for f in facets], dtype=object)
+    try:
+        return rows.astype(np.int64)
+    except OverflowError:
+        return rows
+
+
+def _check_facet(raw) -> None:
+    """Raise the ValueError that names what is wrong with one facet, if anything."""
+    for v in raw:
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(
+                f"vertex {v!r} of simplex {raw} is not an integer (a float is not rounded, nor a string parsed)"
+            )
+    if not len(raw):
+        raise ValueError("empty simplex")
+    if min(raw) < 0:
+        raise ValueError(f"negative vertex in {raw}")
+    if len(set(raw)) != len(raw):
+        raise ValueError(f"repeated vertex in simplex {raw}")
+
+
+def _all_used(blocks: list[np.ndarray], vertex_count: int) -> bool:
+    """Whether every index in 0..vertex_count-1 is a vertex of some facet."""
+    used = np.zeros(vertex_count, dtype=bool)
+    for b in blocks:
+        used[b] = True
+    return bool(used.all())
+
+
+def _chunks(blocks: list[np.ndarray], budget: int):
+    """The facet rows in groups that list at most `budget` faces each,
+    counting 2^k - 1 for a k-vertex facet, which must not pass `budget`."""
+    chunk, room = [], budget
+    for b in blocks:
+        per, start = 2 ** b.shape[1] - 1, 0
+        while start < len(b):
+            take = min(len(b) - start, room // per)
+            if not take:
+                yield chunk
+                chunk, room = [], budget
+                continue
+            chunk.append(b[start : start + take])
+            room -= take * per
+            start += take
+    yield chunk
+
+
+def _key(rows: np.ndarray, keys: list, n: int) -> np.ndarray:
+    """Sort key of each row, a p-simplex as its sorted vertices, whose
+    faces are all ranked in keys[1..p-1]: the index of its face without the
+    last vertex, times the vertex count n, plus the last vertex.  A vertex
+    is its own key and index.  The keys of one dimension sort as its rows do
+    lexicographically.  A chunk merge holds at most 2 * MAX_SIMPLICES
+    simplices of a dimension and n <= MAX_SIMPLICES, so keys stay below
+    2^45, far from int64 overflow, whatever the vertex count and width."""
+    key = rows[:, 0]
+    for q in range(1, rows.shape[1]):
+        if q > 1:
+            key = np.searchsorted(keys[q - 1], key)
+        key = key * n + rows[:, q]
+    return key
+
+
+def _face_table(rows: np.ndarray, keys: list, lower: Optional[np.ndarray], n: int) -> np.ndarray:
+    """face_index table of the canonically ordered p-simplex rows, p >= 1,
+    from the keys and the face table `lower` of degree p - 1.  The face
+    without the last vertex is the one the key names; the face without
+    vertex j < p is the first one's face without j, plus the last vertex."""
+    p = rows.shape[1] - 1
+    table = np.empty(rows.shape, dtype=np.int64)
+    table[:, p] = keys[p] // n
+    if p == 1:
+        table[:, 0] = rows[:, 1]
+    else:
+        sub = lower[table[:, p]] * n + rows[:, p : p + 1]
+        table[:, :p] = np.searchsorted(keys[p - 1], sub)
+    table.setflags(write=False)
+    return table
+
+
+def _checked_face_tables(simplices: Mapping[int, tuple[Simplex, ...]], vertex_count: int) -> dict[int, np.ndarray]:
+    """Face tables of a complex given by its simplices rather than built
+    here; raises ValueError unless they are the face closure of vertices
+    0..vertex_count-1 in canonical order, as build_complex lists it."""
+    if not simplices:
+        return {}
+    closure = build_complex([s for simps in simplices.values() for s in simps])
+    if closure.vertex_count != vertex_count or dict(closure.simplices) != dict(simplices):
+        raise ValueError("simplices must be face-closed, in canonical order, on vertices 0..vertex_count-1")
+    return closure._faces
 
 
 def simplices_of_dim(complex_: SimplicialComplex, p: int) -> tuple[Simplex, ...]:

@@ -121,11 +121,15 @@ def test_coboundary_matrix_shapes(name):
         assert mat.shape == (x.dim_count(p + 1), x.dim_count(p))
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", (*LABELS, "mixed"))
 def test_coboundary_matrix_matches_the_per_entry_build(label):
     # The matrix is built with one scatter; this is the per-entry loop it
-    # replaced, face j of each simplex at sign (-1)^j.
-    x = complex_by_label(label)
+    # replaced, face j of each simplex at sign (-1)^j.  "mixed" has facets
+    # of every dimension 0..3, and the degrees run past the top one.
+    if label == "mixed":
+        x = build_complex([(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,), (1, 2)])
+    else:
+        x = complex_by_label(label)
     for p in range(-1, x.dimension + 2):
         rows, cols = simplices_of_dim(x, p + 1), simplices_of_dim(x, p)
         want = np.zeros((len(rows), len(cols)), dtype=np.int64)

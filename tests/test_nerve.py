@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cechlift
@@ -105,6 +106,29 @@ def test_build_complex_rejects_bad_input():
         build_complex([])
 
 
+@pytest.mark.parametrize("bad", (1.5, 2.0, "1", np.float64(2.0), None))
+def test_build_complex_rejects_a_vertex_that_is_not_an_integer(bad):
+    # int() once truncated these to a vertex: (0, 1.5, 2) built (0, 1, 2).
+    with pytest.raises(ValueError, match=r"is not an integer.*a float is not rounded") as info:
+        build_complex([(0, 1, 3), (0, bad, 2)])
+    assert f"of simplex {(0, bad, 2)}" in str(info.value)
+
+
+def test_build_complex_takes_numpy_integer_vertices():
+    x = build_complex([np.array([2, 0, 1], dtype=np.uint8), (np.int64(3), 2)])
+    assert x.facets == ((2, 3), (0, 1, 2))
+    assert all(type(v) is int for simps in x.simplices.values() for s in simps for v in s)
+
+
+def test_the_first_bad_facet_is_named():
+    # Facets are checked in blocks of one size; the message still names
+    # the first bad facet in input order.
+    with pytest.raises(ValueError, match=r"negative vertex in \(0, -1\)"):
+        build_complex([(0, 1, 2), (0, -1), (1.5, 0, 1), ()])
+    with pytest.raises(ValueError, match="empty simplex"):
+        build_complex([(0, 1, 2), (), (0, -1)])
+
+
 def test_build_complex_normalizes_vertex_order():
     x = build_complex([(2, 0, 1)])
     assert x.triangles() == ((0, 1, 2),)
@@ -136,6 +160,47 @@ def test_facets_of_a_mixed_dimension_complex():
     assert x.facets == expected
     assert x.facets == _facets_by_pairwise_rule(x)
     assert build_complex(expected).simplices == x.simplices
+
+
+MIXED = [(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,), (1, 2)]
+
+
+@pytest.mark.parametrize("label", (*LABELS, "mixed"))
+def test_face_tables_name_each_face(label):
+    x = build_complex(MIXED) if label == "mixed" else complex_by_label(label)
+    for p in range(1, x.dimension + 3):
+        table = x.face_index(p)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.shape == (x.dim_count(p), p + 1)
+        want = [[x.index_of(s[:j] + s[j + 1 :]) for j in range(p + 1)] for s in simplices_of_dim(x, p)]
+        assert table.tolist() == want
+        if table.size:
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+    with pytest.raises(ValueError):
+        x.face_index(0)
+
+
+@pytest.mark.parametrize("label", (*LABELS, "mixed"))
+def test_triangle_edges_match_the_per_triangle_lookup(label):
+    x = build_complex(MIXED) if label == "mixed" else complex_by_label(label)
+    want = [[x.index_of((a, b)), x.index_of((b, l)), x.index_of((a, l))] for a, b, l in x.triangles()]
+    got = x.triangle_edges
+    assert got.dtype == np.int64 and not got.flags.writeable and got.shape == (len(want), 3)
+    assert got.tolist() == want
+
+
+def test_a_complex_given_by_its_simplices_must_be_its_canonical_closure():
+    good = {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2), (1, 2)), 2: ((0, 1, 2),)}
+    x = SimplicialComplex(vertex_count=3, simplices=good, facets=((0, 1, 2),))
+    assert x.triangle_edges.tolist() == [[0, 2, 1]]
+    for bad, vertex_count in (
+        ({**good, 1: ((0, 1), (0, 2))}, 3),  # an edge of the triangle missing
+        ({**good, 1: ((0, 2), (0, 1), (1, 2))}, 3),  # not in canonical order
+        (good, 4),  # vertex 3 missing
+    ):
+        with pytest.raises(ValueError, match="face-closed"):
+            SimplicialComplex(vertex_count=vertex_count, simplices=bad, facets=((0, 1, 2),))
 
 
 def test_simplices_are_read_only():
@@ -247,6 +312,18 @@ def test_face_closure_is_capped(monkeypatch):
     monkeypatch.setattr(nerve, "MAX_SIMPLICES", 10)
     with pytest.raises(CapExceededError):
         builtin_complex.__wrapped__("torus7")
+
+
+def test_the_cap_counts_distinct_faces(monkeypatch):
+    monkeypatch.setattr(nerve, "MAX_SIMPLICES", 1000)
+    # 400 distinct triangles on 402 vertices: 1,603 simplices.
+    with pytest.raises(CapExceededError):
+        build_complex([(0, 1, k) for k in range(2, 402)])
+    # 70,000 faces listed but 7 distinct: the cap is checked after
+    # duplicates are removed.
+    x = build_complex([(2, 0, 1)] * 10_000)
+    assert dict(x.simplices) == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2), (1, 2)), 2: ((0, 1, 2),)}
+    assert x.facets == ((0, 1, 2),)
 
 
 def test_the_cap_leaves_room_for_the_nerves_in_use():
