@@ -643,6 +643,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(exc: Exception) -> str:
+    """The exception's message; a MemoryError raised by numpy or the
+    allocator usually has none, and then reads "out of memory"."""
+    text = str(exc)
+    if not text and isinstance(exc, MemoryError):
+        return "out of memory"
+    return text
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -655,7 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {_reason(exc)}", file=sys.stderr)
         return EXIT_SEMANTIC
     if args.format == "machine":
         print(report.to_json())

@@ -131,7 +131,7 @@ class Cochain:
             raise ValueError("cochain degree or coefficients mismatch")
 
     def _reduced(self, arr: np.ndarray) -> "Cochain":
-        return Cochain(self.base, self.degree, self.group, arr % _moduli(self.group))
+        return Cochain(self.base, self.degree, self.group, arr % self.group.moduli)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
@@ -148,32 +148,32 @@ class Cochain:
         return not self.array.any()
 
 
-def _moduli(group: AbelianGroup) -> np.ndarray:
-    return np.array(group.factors, dtype=np.int64)
-
-
 def _checked_rows(values, group: AbelianGroup, n: int) -> np.ndarray:
-    """values as a read-only (n x rank) int64 array, range-tested in one
-    vectorized pass.  On a bad value, AbelianGroup.check of the first bad
-    one raises its own message."""
+    """values as a read-only (n x rank) int64 array, range-tested with one
+    unsigned comparison against the group's moduli: a negative entry, viewed
+    as uint64, is at least 2^63, past every factor.  On a bad value,
+    AbelianGroup.check of the first bad one raises its own message."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged rows
         arr = np.array(None)
     if arr.size == 0 and n * group.rank == 0:
         out = np.zeros((n, group.rank), dtype=np.int64)
-    elif (
-        arr.dtype.kind in "iub"
-        and arr.shape == (n, group.rank)
-        and not ((arr < 0) | (arr >= _moduli(group))).any()
-    ):
+    elif arr.dtype.kind in "iub" and arr.shape == (n, group.rank):
         out = arr.astype(np.int64)
+        if (out.view(np.uint64) >= group.moduli.view(np.uint64)).any():
+            _reject_rows(values, group)
     else:
-        for v in values:
-            group.check(v)
-        raise ValueError(f"cochain values must be integer residue tuples for factors {group.factors}")
+        _reject_rows(values, group)
     out.setflags(write=False)
     return out
+
+
+def _reject_rows(values, group: AbelianGroup):
+    """Raise the ValueError for values that failed _checked_rows."""
+    for v in values:
+        group.check(v)
+    raise ValueError(f"cochain values must be integer residue tuples for factors {group.factors}")
 
 
 def zero_cochain(complex_: SimplicialComplex, degree: int, group: AbelianGroup) -> Cochain:
@@ -208,7 +208,7 @@ def _coboundary_factor(complex_: SimplicialComplex, p: int, prime: int) -> GfpFa
 
 def coboundary(f: Cochain) -> Cochain:
     out = coboundary_matrix(f.base, f.degree) @ f.array
-    return Cochain(f.base, f.degree + 1, f.group, out % _moduli(f.group))
+    return Cochain(f.base, f.degree + 1, f.group, out % f.group.moduli)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -365,11 +365,17 @@ def cohomology(complex_: SimplicialComplex, p: int, coefficients: AbelianGroup =
 
 
 def classes_equal(f: Cochain, g: Cochain) -> bool:
-    """Do two cocycles represent the same cohomology class?"""
+    """Do two cocycles represent the same cohomology class?
+
+    Both must be cocycles on the same complex, in the same degree and group.
+    They are in one class when f - g is a coboundary; equal cochains are, as
+    f - g = 0 = delta 0, so they are answered without a solve."""
     for name, c in (("first", f), ("second", g)):
         if not is_cocycle(c):
             raise ValueError(f"{name} argument is not a cocycle")
     f._compatible(g)
+    if np.array_equal(f.array, g.array):
+        return True
     return is_coboundary(f - g) is not None
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "AbelianGroup",
@@ -33,6 +36,12 @@ _LITERAL = re.compile(r"^Z(\d+)$")
 # elimination cannot overflow, and trial division of an order takes at most
 # about 46k steps.
 MAX_CYCLIC_ORDER = 2**31 - 1
+
+
+def is_integer(x) -> bool:
+    """Is x an int, a bool or a numpy integer or bool?  A float or a string
+    is not, whatever its value: it is rejected, not rounded or parsed."""
+    return isinstance(x, (int, np.integer, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -60,11 +69,22 @@ class AbelianGroup:
     def rank(self) -> int:
         return len(self.factors)
 
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        """The factors as a read-only int64 array, shared by every reduction
+        and range test of values in this group."""
+        out = np.array(self.factors, dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
     def check(self, a: Sequence[int]) -> Element:
         try:
-            a = tuple(int(x) for x in a)
+            items = tuple(a)
         except TypeError:
-            raise ValueError(f"element {a!r} is not a residue tuple for factors {self.factors}") from None
+            items = None
+        if items is None or not all(map(is_integer, items)):
+            raise ValueError(f"element {a!r} is not a residue tuple for factors {self.factors}")
+        a = tuple(map(int, items))
         if len(a) != len(self.factors):
             raise ValueError(f"element {a} has wrong length for factors {self.factors}")
         if any(not 0 <= x < n for x, n in zip(a, self.factors)):
@@ -147,6 +167,14 @@ class AbelianHom:
                     f"image {img} of an order-{n} generator does not have order dividing {n}"
                 )
 
+    @cached_property
+    def image_matrix(self) -> np.ndarray:
+        """The generator images as a read-only (domain rank x codomain rank)
+        int64 matrix: row i is the image of generator i."""
+        out = np.array(self.images, dtype=np.int64).reshape(self.domain.rank, self.codomain.rank)
+        out.setflags(write=False)
+        return out
+
     def __call__(self, a: Sequence[int]) -> Element:
         a = self.domain.check(a)
         out = self.codomain.zero()
@@ -201,8 +229,13 @@ def direct_sum(groups: Sequence[AbelianGroup]) -> tuple[AbelianGroup, list[Abeli
     return total, injections, projections
 
 
+@lru_cache(maxsize=None)
 def fusion_hom_mod2(n: int) -> AbelianHom:
-    """The mod-2 sum (x1, ..., xn) -> x1 + ... + xn from a sum of n copies of Z2 to Z2."""
+    """The mod-2 sum (x1, ..., xn) -> x1 + ... + xn from a sum of n copies of Z2 to Z2.
+
+    Built and checked once per n and then shared: every doubled verdict asks
+    for n = 2, and the hom is immutable.  Emptying the library's caches
+    (fusion_hom_mod2.cache_clear()) builds it anew on the next call."""
     if n < 1:
         raise ValueError("need at least one summand")
     domain = AbelianGroup((2,) * n)

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coefgroup import AbelianGroup, parse_group
+from .coefgroup import AbelianGroup, is_integer, parse_group
 from .errors import (
     CapExceededError,
     KernelMismatchError,
@@ -134,14 +134,17 @@ def element_array(values: Sequence[int], order: int, describe: Callable[[int], s
     """`values` as a read-only int64 array of elements of a group of the
     given order.
 
-    A value outside 0..order-1 raises ValueError(describe(position of the
-    first one)) before any conversion, so a negative value never reaches a
-    gather (where it would wrap around) and no Python int is too big.
+    A value that is not an int, bool or numpy integer (a float or a string
+    is not rounded or parsed), or that lies outside 0..order-1, raises
+    ValueError(describe(position of the first one)) before any conversion,
+    so a negative value never reaches a gather (where it would wrap around)
+    and no Python int is too big.  Valid values cost one range test.
     """
     arr = np.asarray(values)
-    outside = np.flatnonzero((arr < 0) | (arr >= order))
-    if outside.size:
-        raise ValueError(describe(int(outside[0])))
+    if arr.dtype.kind not in "iub" or ((arr < 0) | (arr >= order)).any():
+        for i, v in enumerate(values):
+            if not (is_integer(v) and 0 <= v < order):
+                raise ValueError(describe(i))
     out = arr.astype(np.int64)
     out.setflags(write=False)
     return out
@@ -526,9 +529,9 @@ class Section:
             self.map, ext.total.order,
             lambda b: f"section value {self.map[b]} over {b} is out of range",
         )
-        off = np.flatnonzero(ext.projection_table[table] != np.arange(len(table)))
-        if off.size:
-            b = int(off[0])
+        off = ext.projection_table[table] != np.arange(len(table))
+        if off.any():
+            b = int(np.flatnonzero(off)[0])
             raise ValueError(f"section value {self.map[b]} over {b} is not in the fiber")
 
     def __call__(self, b: int) -> int:

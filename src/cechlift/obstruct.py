@@ -131,10 +131,9 @@ def _first_failing_triangle(
     base: SimplicialComplex, group: FiniteGroup, values: np.ndarray
 ) -> Optional[tuple[int, int, int]]:
     """First sorted triangle (a, b, l) with values[ab] * values[bl] != values[al]."""
-    tri = base.triangle_edges
-    v = values[tri]
-    bad = np.flatnonzero(group.table[v[:, 0], v[:, 1]] != v[:, 2])
-    return base.triangles()[bad[0]] if bad.size else None
+    v = values[base.triangle_edges]
+    bad = group.table[v[:, 0], v[:, 1]] != v[:, 2]
+    return base.triangles()[np.flatnonzero(bad)[0]] if bad.any() else None
 
 
 def validate_cocycle(s: BundleCocycle) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -224,9 +223,9 @@ class Lift:
             lambda i: f"lift value {values[i]} over edge {edges[i]} is out of range",
         )
         object.__setattr__(self, "table", table)
-        wrong = np.flatnonzero(ext.projection_table[table] != self.cocycle.table)
-        if wrong.size:
-            a, b = edges[wrong[0]]
+        wrong = ext.projection_table[table] != self.cocycle.table
+        if wrong.any():
+            a, b = edges[np.flatnonzero(wrong)[0]]
             raise ValueError(f"lift value over edge ({a}, {b}) projects to the wrong element")
         bad = self.failing_triangle()
         if bad is not None:
@@ -275,17 +274,18 @@ def obstruction_cocycle(s: BundleCocycle, ext: CentralExtension, section: Option
     sv = section.table[s.table][s.base.triangle_edges]
     lifted = table[table[sv[:, 1], ext.total.inverse_table[sv[:, 2]]], sv[:, 0]]
     image = ext.projection_table[lifted]
-    off = np.flatnonzero(image != ext.base.identity)
-    if off.size:
-        a, b, l = s.base.triangles()[off[0]]
+    off = image != ext.base.identity
+    if off.any():
+        first = np.flatnonzero(off)[0]
+        a, b, l = s.base.triangles()[first]
         raise KernelViolationError(
             f"defect over triangle ({a}, {b}, {l}) projects to "
-            f"{image[off[0]]}, not the identity; inputs are corrupted"
+            f"{image[first]}, not the identity; inputs are corrupted"
         )
     k = ext.kernel_index_table[lifted]
-    outside = np.flatnonzero(k < 0)
-    if outside.size:
-        raise ValueError(f"element {lifted[outside[0]]} is not in the embedded kernel")
+    outside = k < 0
+    if outside.any():
+        raise ValueError(f"element {lifted[np.flatnonzero(outside)[0]]} is not in the embedded kernel")
     return Cochain(s.base, 2, ext.kernel, ext.kernel_rows[k])
 
 
@@ -317,8 +317,8 @@ def _lift_from_correction(
     s: BundleCocycle, ext: CentralExtension, section: Section, correction: Cochain
 ) -> Lift:
     """sigma(s_ab) * embed(-c_ab) on every edge."""
-    factors = ext.kernel.factors
-    twist = ext.embed_table[pack_rows(factors, -correction.array % np.array(factors, dtype=np.int64))]
+    kernel = ext.kernel
+    twist = ext.embed_table[pack_rows(kernel.factors, -correction.array % kernel.moduli)]
     values = ext.total.table[section.table[s.table], twist]
     try:
         return Lift(cocycle=s, extension=ext, values=values)

@@ -178,9 +178,7 @@ def _fused_default(exts: tuple[CentralExtension, ...], fusion: AbelianHom) -> Fu
     # Index in fusion.codomain of the image of each element of the summed
     # kernels, in canonical order.
     target = fusion.codomain
-    images = np.array(fusion.images, dtype=np.int64).reshape(fusion.domain.rank, target.rank)
-    moduli = np.array(target.factors, dtype=np.int64)
-    image_rows = _matvec_mod(images.T, prod_ext.kernel_rows.T, moduli[:, None]).T
+    image_rows = _matvec_mod(fusion.image_matrix.T, prod_ext.kernel_rows.T, target.moduli[:, None]).T
     image_index = pack_rows(target.factors, image_rows)
     collapsed = prod_ext.embed_table[image_index == 0]
     quotient, to_quotient = quotient_by_central(prod_ext.total, collapsed.tolist())
@@ -226,14 +224,20 @@ def _summed_obstruction(
 ) -> Cochain:
     """mu applied triangle by triangle to the tuple of component obstruction
     cochains: one product of the concatenated cochains with mu's matrix of
-    generator images, exact for factors up to 2^31 - 1 (see _matvec_mod)."""
-    parts = [
-        obstruction_cocycle(s, e, sect).array for s, e, sect in zip(cocycles, exts, sections)
-    ]
-    images = np.array(fusion.images, dtype=np.int64).reshape(fusion.domain.rank, fusion.codomain.rank)
-    moduli = np.array(fusion.codomain.factors, dtype=np.int64)
-    values = _matvec_mod(images.T, np.concatenate(parts, axis=1).T, moduli[:, None]).T
-    return Cochain(cocycles[0].base, 2, fusion.codomain, values)
+    generator images, exact for factors up to 2^31 - 1 (see _matvec_mod).
+
+    A component that repeats an earlier one (the same cocycle, extension and
+    section objects, as in a doubled cocycle) reuses its cochain, so each
+    distinct component's obstruction cochain is computed once per call."""
+    arrays: dict[tuple, np.ndarray] = {}
+    parts = []
+    for component in zip(cocycles, exts, sections):
+        if component not in arrays:
+            arrays[component] = obstruction_cocycle(*component).array
+        parts.append(arrays[component])
+    codomain = fusion.codomain
+    values = _matvec_mod(fusion.image_matrix.T, np.concatenate(parts, axis=1).T, codomain.moduli[:, None]).T
+    return Cochain(cocycles[0].base, 2, codomain, values)
 
 
 def whitney_obstruction(
@@ -293,9 +297,8 @@ def additivity_check(
     fused_q = obstruction_cocycle(product_cocycle(cocycles), fe.fused, use_section)
     summed = _summed_obstruction(cocycles, exts, fusion, sections)
     triangles = cocycles[0].base.triangles()
-    mism = tuple(
-        triangles[i] for i in np.flatnonzero((fused_q.array != summed.array).any(axis=1))
-    )
+    differ = fused_q.array != summed.array
+    mism = tuple(triangles[i] for i in np.flatnonzero(differ.any(axis=1))) if differ.any() else ()
     return AdditivityReport(
         cochain_equal=not mism,
         class_equal=classes_equal(fused_q, summed),

@@ -7,7 +7,9 @@ compare values, first failing triangles and error messages.
 """
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cechlift.coefgroup import AbelianGroup, AbelianHom, Z2, fusion_hom_mod2
@@ -15,6 +17,7 @@ from cechlift.cochain import Cochain, coboundary, is_coboundary
 from cechlift.errors import KernelViolationError
 from cechlift.fingroup import (
     BUILTIN_EXTENSIONS,
+    Section,
     builtin_extension,
     canonical_section,
     cyclic_group,
@@ -24,12 +27,13 @@ from cechlift.fingroup import (
 from cechlift.obstruct import (
     BundleCocycle,
     Lift,
+    identity_cocycle,
     obstruction_class,
     obstruction_cocycle,
     random_cocycle,
     validate_cocycle,
 )
-from cechlift.whitney import additivity_check, hyperbolic_obstruction
+from cechlift.whitney import additivity_check, fused_extension, hyperbolic_obstruction, product_cocycle
 from subdivision import complex_by_label
 
 LABELS = (
@@ -59,14 +63,19 @@ def edge_value(s, a, b):
     return s.values[s.base.index_of((a, b))]
 
 
+def raw_defect_element(s, ext, section, a, b, l):
+    """sigma(s_bl) * sigma(s_al)^-1 * sigma(s_ab) in the total group."""
+    t, inv, sigma = ext.total.table, ext.total.inverse, section.map
+    return int(t[t[sigma[edge_value(s, b, l)], inv[sigma[edge_value(s, a, l)]]], sigma[edge_value(s, a, b)]])
+
+
 def raw_defect(s, ext, section):
     """Per-triangle defect as kernel tuples, or (triangle, image) of the
     first triangle whose defect leaves the kernel."""
-    t, inv, sigma = ext.total.table, ext.total.inverse, section.map
     kernel = list(ext.kernel.elements())
     out = []
     for a, b, l in s.base.triangles():
-        x = int(t[t[sigma[edge_value(s, b, l)], inv[sigma[edge_value(s, a, l)]]], sigma[edge_value(s, a, b)]])
+        x = raw_defect_element(s, ext, section, a, b, l)
         image = ext.projection.map[x]
         if image != ext.base.identity:
             return (a, b, l), image
@@ -213,3 +222,146 @@ def test_values_are_stored_once_as_arrays(monkeypatch):
         else:
             assert obj.values == tuple(obj.table.tolist())
         assert "values" in vars(obj)
+
+
+# ------------------------------------------------- failing checks' offenders ----
+#
+# Every check on the success path tests its whole array with one reduction
+# and locates the offender only when it fails; these compare that offender,
+# and the message naming it, with a loop.
+
+
+@pytest.mark.parametrize("label", ("torus7", "klein", "sd1(rp2_6)"))
+def test_defect_outside_the_embedded_kernel_names_the_first_one(label):
+    # A sound extension cannot have a defect over the identity that is not
+    # in the kernel, so the kernel lookup of a copy loses some entries.
+    x = complex_by_label(label)
+    rng = random.Random(label + "/kernel")
+    for name in EXTENSIONS:
+        ext = extension(name)
+        s = random_cocycle(x, ext.base, rng.randrange(1 << 30))
+        section = random_section(ext, rng, normalized=False)
+        defects = [raw_defect_element(s, ext, section, *t) for t in x.triangles()]
+        for _ in range(3):
+            lost = set(rng.sample(sorted(set(defects)), rng.randrange(1, len(set(defects)) + 1)))
+            broken = replace(ext)
+            table = ext.kernel_index_table.copy()
+            table[sorted(lost)] = -1
+            broken.__dict__["kernel_index_table"] = table
+            want = next(d for d in defects if d in lost)
+            with pytest.raises(ValueError) as err:
+                obstruction_cocycle(s, broken, Section(broken, section.map))
+            assert str(err.value) == f"element {want} is not in the embedded kernel"
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+def test_section_off_its_fibers_names_the_first_base_element(name):
+    ext = extension(name)
+    rng = random.Random(name + "/section")
+    for _ in range(10):
+        section = list(random_section(ext, rng, normalized=False).map)
+        for b in rng.sample(range(ext.base.order), rng.randrange(1, ext.base.order + 1)):
+            section[b] = rng.choice([y for y in range(ext.total.order) if ext.projection(y) != b])
+        first = next(b for b in range(ext.base.order) if ext.projection(section[b]) != b)
+        with pytest.raises(ValueError) as err:
+            Section(ext, tuple(section))
+        assert str(err.value) == f"section value {section[first]} over {first} is not in the fiber"
+
+
+@pytest.mark.parametrize("label", ("rp2_6", "torus7", "sd1(klein)"))
+def test_additivity_mismatches_match_a_loop(label):
+    x = complex_by_label(label)
+    rng = random.Random(label + "/additivity")
+    mu = fusion_hom_mod2(2)
+    seen = set()
+    for names in (("z4_over_z2", "z4_over_z2"), ("z4_over_z2", "q8_over_v4"), ("split_z2", "d8_over_v4")):
+        exts = tuple(builtin_extension(n) for n in names)
+        for k in range(6):
+            cocycles = tuple(random_cocycle(x, e.base, rng.randrange(1 << 30)) for e in exts)
+            sections = [random_section(e, rng, normalized=False) for e in exts]
+            fe = fused_extension(exts, mu, sections)
+            # Odd rounds take a stray fused section, even ones the induced one.
+            stray = random_section(fe.fused, rng, normalized=rng.random() < 0.5) if k % 2 else None
+            report = additivity_check(cocycles, exts, mu, sections=sections, fused_section=stray)
+            parts = [raw_defect(s, e, sect) for s, e, sect in zip(cocycles, exts, sections)]
+            summed = tuple(mu(p + q) for p, q in zip(*parts))
+            fused = raw_defect(product_cocycle(cocycles), fe.fused, stray or fe.section)
+            want = tuple(t for t, f, g in zip(x.triangles(), fused, summed) if f != g)
+            assert report.summed_cochain.values == summed
+            assert report.fused_cochain.values == fused
+            assert report.mismatched_triangles == want
+            assert report.cochain_equal == (want == ())
+            seen.add(want == ())
+    assert seen == {True, False}
+
+
+NOT_INTEGERS = (0.5, 2.0, "1", None, np.float64(1.0))
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_elements_that_are_not_integers_are_rejected(bad):
+    # astype(np.int64) used to truncate them: [0.5] * n built the identity
+    # cocycle, and a string raised numpy's UFuncTypeError.
+    x = complex_by_label("torus7")
+    edges = x.edges()
+    ext = builtin_extension("z4_over_z2")
+    with pytest.raises(ValueError) as err:
+        BundleCocycle(x, ext.base, [bad] * len(edges))
+    assert str(err.value) == f"edge value {bad} is out of range"
+    lift = obstruction_class(identity_cocycle(x, ext.base), ext).lift
+    for i in (0, 5, len(edges) - 1):
+        values = list(lift.values)
+        values[i] = bad
+        with pytest.raises(ValueError) as err:
+            Lift(lift.cocycle, ext, values)
+        assert str(err.value) == f"lift value {bad} over edge {edges[i]} is out of range"
+    for b in range(ext.base.order):
+        section = list(canonical_section(ext).map)
+        section[b] = bad
+        with pytest.raises(ValueError) as err:
+            Section(ext, tuple(section))
+        assert str(err.value) == f"section value {bad} over {b} is out of range"
+
+
+def test_first_bad_element_is_named_whatever_its_kind():
+    x = complex_by_label("torus7")
+    edges = x.edges()
+    ext = builtin_extension("q8_over_v4")
+    lift = obstruction_class(identity_cocycle(x, ext.base), ext).lift
+    order = ext.total.order
+    rng = random.Random(5)
+    kinds = (*NOT_INTEGERS, -1, order, 2**70, np.uint64(2**63), np.int64(-order))
+    for _ in range(40):
+        values = list(lift.values)
+        spots = sorted(rng.sample(range(len(edges)), 3))
+        for i in spots:
+            values[i] = rng.choice(kinds)
+        first = spots[0]
+        for form in (values, tuple(values)):
+            with pytest.raises(ValueError) as err:
+                Lift(lift.cocycle, ext, form)
+            assert str(err.value) == f"lift value {values[first]} over edge {edges[first]} is out of range"
+    # Whole arrays: a float array names its first entry, a uint64 array its
+    # first entry at or past 2^63 (which would wrap to a negative int64).
+    with pytest.raises(ValueError) as err:
+        Lift(lift.cocycle, ext, np.asarray(lift.values, dtype=np.float64))
+    assert str(err.value) == f"lift value {float(lift.values[0])} over edge {edges[0]} is out of range"
+    wide = np.asarray(lift.values, dtype=np.uint64)
+    wide[[4, 9]] = 2**63, 2**64 - 1
+    with pytest.raises(ValueError) as err:
+        Lift(lift.cocycle, ext, wide)
+    assert str(err.value) == f"lift value {2**63} over edge {edges[4]} is out of range"
+    assert Lift(lift.cocycle, ext, np.asarray(lift.values, dtype=np.uint64)).values == lift.values
+
+
+def test_bools_are_elements():
+    x = complex_by_label("torus7")
+    n = len(x.edges())
+    z2 = cyclic_group(2)
+    for values in ([False] * n, np.zeros(n, dtype=bool), [np.False_] * n):
+        s = BundleCocycle(x, z2, values)
+        assert s.values == (0,) * n and s.table.dtype == np.int64
+    ext = builtin_extension("z4_over_z2")
+    assert Section(ext, (False, True)).table.tolist() == [0, 1]
+    with pytest.raises(ValueError, match="edge value True is out of range"):
+        BundleCocycle(x, cyclic_group(1), [False] * 3 + [True] * (n - 3))

@@ -353,6 +353,25 @@ def test_memory_error_while_reading_exits_three(capsys, monkeypatch, tmp_path):
     assert out == ""
 
 
+def test_memory_error_without_a_message_says_out_of_memory(capsys, monkeypatch):
+    # numpy and the allocator raise MemoryError with an empty message.
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("cechlift.cli.cohomology", exhausted)
+    rc, out, err = run_cli(capsys, "cohomology", "--builtin", "torus7", "-p", "1", "-k", "Z2")
+    assert rc == EXIT_SEMANTIC
+    assert err == "error: MemoryError: out of memory\n"
+    assert out == ""
+
+    def exhausted_saying(*args, **kwargs):
+        raise MemoryError("cannot allocate 8 GiB")
+
+    monkeypatch.setattr("cechlift.cli.cohomology", exhausted_saying)
+    rc, out, err = run_cli(capsys, "cohomology", "--builtin", "torus7", "-p", "1", "-k", "Z2")
+    assert (rc, err) == (EXIT_SEMANTIC, "error: MemoryError: cannot allocate 8 GiB\n")
+
+
 def test_cap_env_var_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("CECHLIFT_CAP", "10")
     rc, out, err = run_cli(

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cechlift import cochain
 from cechlift.coefgroup import AbelianGroup, Z2
 from cechlift.cochain import (
     Cochain,
@@ -71,6 +72,73 @@ def test_cochain_rejects_bad_values_with_the_group_check_message():
         assert str(err.value) == f"element {bad} out of range for factors (2, 4)"
     with pytest.raises(ValueError):
         Cochain(x, 1, g, np.array([[0, 1], [1, 4], [0, 0]]))
+
+
+def _first_bad_row(rows, factors):
+    for row in rows:
+        if any(not 0 <= int(v) < n for v, n in zip(row, factors)):
+            return tuple(int(v) for v in row)
+    return None
+
+
+@pytest.mark.parametrize("dtype", (np.int64, np.int32, np.int8, np.uint64, np.uint8))
+def test_array_range_test_names_the_first_bad_row(dtype):
+    # One unsigned comparison tests every entry; a rejected array raises
+    # AbelianGroup.check's message for its first bad row, as a loop would.
+    x = builtin_complex("torus7")
+    g = AbelianGroup((2, 4))
+    n = x.dim_count(1)
+    rng = random.Random(str(dtype))
+    info = np.iinfo(dtype)
+    bad_values = [v for v in (-1, -4, 2, 4, 2**31 - 1, 2**63, 2**64 - 1, info.min, info.max)
+                  if info.min <= v <= info.max and v not in (0, 1)]
+    for _ in range(20):
+        rows = np.array([[rng.randrange(2), rng.randrange(4)] for _ in range(n)], dtype=dtype)
+        assert Cochain(x, 1, g, rows).array.tolist() == rows.astype(np.int64).tolist()
+        for _ in range(rng.randrange(1, 3)):
+            rows[rng.randrange(n), rng.randrange(2)] = rng.choice(bad_values)
+        want = _first_bad_row(rows.tolist(), g.factors)
+        if want is None:  # a wrapped-in value that happens to fit, e.g. 2 in the Z4 column
+            continue
+        with pytest.raises(ValueError) as err:
+            Cochain(x, 1, g, rows)
+        assert str(err.value) == f"element {want} out of range for factors (2, 4)"
+
+
+def test_array_range_test_edge_values():
+    x = builtin_complex("circle")
+    g = AbelianGroup((2, 4))
+    top = AbelianGroup((P31,))
+    # The largest residue of the largest factor passes, one more does not.
+    assert Cochain(x, 1, top, np.full((3, 1), P31 - 1)).array[0, 0] == P31 - 1
+    with pytest.raises(ValueError, match=f"element \\({P31},\\) out of range"):
+        Cochain(x, 1, top, np.full((3, 1), P31))
+    # uint64 entries at and past 2^63 view as negative int64; both are rejected.
+    for big in (2**63, 2**63 + 1, 2**64 - 1):
+        rows = np.array([[0, 1], [1, 3], [1, big]], dtype=np.uint64)
+        with pytest.raises(ValueError) as err:
+            Cochain(x, 1, g, rows)
+        assert str(err.value) == f"element (1, {big}) out of range for factors (2, 4)"
+    rows = np.array([[0, 1], [-1, 0], [0, -2]], dtype=np.int64)
+    with pytest.raises(ValueError) as err:
+        Cochain(x, 1, g, rows)
+    assert str(err.value) == "element (-1, 0) out of range for factors (2, 4)"
+    # Bools are integers 0 and 1.
+    flags = np.array([[True, False], [False, True], [True, True]])
+    assert Cochain(x, 1, g, flags).array.tolist() == [[1, 0], [0, 1], [1, 1]]
+    assert Cochain(x, 1, g, flags).array.dtype == np.int64
+
+
+@pytest.mark.parametrize("bad", (0.5, 2.0, np.float64(1.0), "1", None))
+def test_cochain_rejects_values_that_are_not_integers(bad):
+    x = builtin_complex("circle")
+    g = AbelianGroup((2, 4))
+    values = ((0, 1), (1, bad), (1, 3))
+    with pytest.raises(ValueError) as err:
+        Cochain(x, 1, g, values)
+    assert str(err.value) == f"element {(1, bad)!r} is not a residue tuple for factors (2, 4)"
+    with pytest.raises(ValueError, match="is not a residue tuple"):
+        Cochain(x, 1, g, np.array([[0, 1], [1, 1], [1, 3]], dtype=np.float64))
 
 
 def test_cochain_from_an_array_equals_the_tuple_one():
@@ -361,6 +429,39 @@ def test_classes_equal_up_to_coboundary():
     assert not is_cocycle(bad)
     with pytest.raises(ValueError):
         classes_equal(bad, zero_cochain(x, 1, Z2))
+
+
+def test_classes_equal_on_equal_cochains_needs_no_solve(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_coboundary(f)
+
+    monkeypatch.setattr(cochain, "is_coboundary", counted)
+    x = builtin_complex("rp2_6")
+    rng = random.Random(7)
+    for group in (Z2, Z4, AbelianGroup((2, 4))):
+        f = coboundary(_random_cochain(rng, x, 1, group))
+        assert classes_equal(f, f)
+        assert classes_equal(f, Cochain(x, 2, group, f.array.copy()))
+        assert calls == []
+        # A coboundary is in the zero class; unless it is zero, that takes a solve.
+        assert classes_equal(f, zero_cochain(x, 2, group))
+        assert len(calls) == (0 if f.is_zero() else 1)
+        calls.clear()
+    # Equal arrays are no excuse to skip the checks.
+    one_edge = Cochain(x, 1, Z2, tuple(((1,) if i == 0 else (0,)) for i in range(x.dim_count(1))))
+    with pytest.raises(ValueError, match="first argument is not a cocycle"):
+        classes_equal(one_edge, one_edge)
+    z2 = zero_cochain(x, 1, Z2)
+    with pytest.raises(ValueError, match="cochain degree or coefficients mismatch"):
+        classes_equal(z2, Cochain(x, 1, Z4, z2.array))
+    with pytest.raises(ValueError, match="cochain degree or coefficients mismatch"):
+        classes_equal(zero_cochain(x, 0, Z2), zero_cochain(x, 1, Z2))
+    with pytest.raises(ValueError, match="cochains live on different complexes"):
+        classes_equal(zero_cochain(builtin_complex("sphere2"), 1, Z2), z2)
+    assert calls == []
 
 
 def test_cochain_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cechlift.coefgroup import (
@@ -59,6 +60,51 @@ def test_element_validation():
         g.check((0, -1))
     with pytest.raises(ValueError):
         AbelianGroup((2, 1))
+
+
+@pytest.mark.parametrize("bad", (1.7, 1.0, np.float64(1.0), "3", None, [1]))
+def test_check_rejects_entries_that_are_not_integers(bad):
+    # A float used to be rounded and a string parsed: check((1.7,)) gave (1,).
+    for g in (Z2, AbelianGroup((4,)), AbelianGroup((2, 4))):
+        a = (0,) * (g.rank - 1) + (bad,)
+        with pytest.raises(ValueError) as err:
+            g.check(a)
+        assert str(err.value) == f"element {a!r} is not a residue tuple for factors {g.factors}"
+    with pytest.raises(ValueError, match="is not a residue tuple"):
+        Z2.check(1)
+
+
+def test_check_accepts_ints_bools_and_numpy_integers():
+    g = AbelianGroup((2, 4))
+    for a in ((1, 3), (True, 3), (np.int64(1), np.uint8(3)), (np.True_, np.int32(3)), np.array([1, 3])):
+        out = g.check(a)
+        assert out == (1, 3)
+        assert all(type(x) is int for x in out)
+
+
+def test_hom_rejects_images_that_are_not_integers():
+    z4 = AbelianGroup((4,))
+    for images in (((2.0,),), (("2",),), ((np.float64(2.0),),), ((None,),)):
+        with pytest.raises(ValueError) as err:
+            AbelianHom(Z2, z4, images)
+        assert str(err.value) == f"element {images[0]!r} is not a residue tuple for factors (4,)"
+    assert AbelianHom(Z2, z4, ((np.int64(2),),)).images == ((np.int64(2),),)
+
+
+def test_moduli_and_image_matrix_are_built_once_and_read_only():
+    g = AbelianGroup((2, 4, 3))
+    assert g.moduli is g.moduli
+    assert g.moduli.dtype == np.int64 and g.moduli.tolist() == [2, 4, 3]
+    assert not g.moduli.flags.writeable
+    assert AbelianGroup(()).moduli.shape == (0,)
+    dom, _, _ = direct_sum([AbelianGroup((4,)), AbelianGroup((4,))])
+    hom = AbelianHom(dom, AbelianGroup((4, 2)), ((1, 1), (3, 0)))
+    assert hom.image_matrix is hom.image_matrix
+    assert hom.image_matrix.tolist() == [[1, 1], [3, 0]]
+    assert not hom.image_matrix.flags.writeable
+    # The cached arrays are not fields: equality and hashing ignore them.
+    again = AbelianGroup((2, 4, 3))
+    assert again == g and hash(again) == hash(g)
 
 
 def test_parse_group():
@@ -148,6 +194,18 @@ def test_fusion_hom_mod2():
     assert mu((1, 0)) == (1,)
     assert mu((1, 1)) == (0,)
     assert sorted(mu.kernel_elements()) == [(0, 0), (1, 1)]
+
+
+def test_fusion_hom_mod2_is_built_once_until_the_cache_is_emptied():
+    mu = fusion_hom_mod2(2)
+    assert fusion_hom_mod2(2) is mu
+    assert fusion_hom_mod2(3) is not mu
+    fusion_hom_mod2.cache_clear()
+    fresh = fusion_hom_mod2(2)
+    assert fresh is not mu and fresh == mu
+    assert fusion_hom_mod2(2) is fresh
+    with pytest.raises(ValueError, match="at least one summand"):
+        fusion_hom_mod2(0)
     mu3 = fusion_hom_mod2(3)
     assert mu3((1, 1, 1)) == (1,)
     assert len(mu3.kernel_elements()) == 4

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cechlift.coefgroup import AbelianGroup, AbelianHom, direct_sum, fusion_hom_mod2
-from cechlift import whitney
+from cechlift import obstruct, whitney
 from cechlift.cochain import Cochain
 from cechlift.errors import BaseMismatchError, InternalCheckError
 from cechlift.fingroup import (
@@ -252,6 +252,35 @@ def test_doubling_kills_the_obstruction_everywhere():
                 assert result.cochain.is_zero()
                 assert result.trivial
                 assert result.lift is not None
+
+
+def test_doubling_computes_the_component_cochain_once(monkeypatch):
+    # The doubled cocycle's two components are the same (cocycle, extension,
+    # section), so the fused sum reads one component cochain twice: one
+    # obstruction_cocycle call for it and one for the fused extension.
+    calls = []
+
+    def counted(s, ext, section=None):
+        calls.append((s, ext, section))
+        return obstruction_cocycle(s, ext, section)
+
+    monkeypatch.setattr(whitney, "obstruction_cocycle", counted)
+    monkeypatch.setattr(obstruct, "obstruction_cocycle", counted)
+    x = builtin_complex("torus7")
+    for ename in BUILTIN_EXTENSIONS:
+        ext = builtin_extension(ename)
+        s = random_cocycle(x, ext.base, 2)
+        calls.clear()
+        assert hyperbolic_obstruction(s, ext).cochain.is_zero()
+        assert len(calls) == 2
+        component, fused = calls
+        assert component[:2] == (s, ext) and fused[1] is not ext
+    # Distinct components are each computed, even when they are equal.
+    z4 = builtin_extension("z4_over_z2")
+    s, t = random_cocycle(x, z4.base, 3), random_cocycle(x, z4.base, 3)
+    calls.clear()
+    report = additivity_check((s, t), (z4, z4), fusion_hom_mod2(2))
+    assert report.cochain_equal and len(calls) == 3
 
 
 def test_doubling_the_obstructed_mobius_cocycle():
